@@ -56,12 +56,23 @@ def select_anchor_indices(views: list[np.ndarray], m: int, seed: int) -> np.ndar
     n = _check_views(views)
     if not 1 <= m <= n:
         raise TooManyAnchors(f"requested {m} anchors from {n} samples")
-    norms = np.zeros(n)
-    for v in views:
-        norms += np.einsum("dn,dn->n", v, v)
-    order = np.argsort(norms, kind="stable")
+    order = sample_norm_order(views)
     rng = np.random.default_rng(seed)
     return order[rng.choice(n, size=m, replace=False)]
+
+
+def sample_norm_order(views: list[np.ndarray]) -> np.ndarray:
+    """Sample indices sorted ascending by concatenated-feature L2 norm."""
+    norms = sum(np.einsum("dn,dn->n", v, v) for v in views)
+    return np.argsort(norms, kind="stable")
+
+
+def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between columns of a (D,M) and b (D,N) -> (M,N), clipped at 0."""
+    aa = np.einsum("dm,dm->m", a, a)
+    bb = np.einsum("dn,dn->n", b, b)
+    d2 = aa[:, None] + bb[None, :] - 2.0 * (a.T @ b)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def estimate_kernel_width(view: np.ndarray, anchors: np.ndarray, seed: int = 0) -> float:
@@ -78,7 +89,7 @@ def estimate_kernel_width(view: np.ndarray, anchors: np.ndarray, seed: int = 0) 
     if m < 1:
         raise ValidationError("need at least one anchor")
     if n * m <= PAIR_CAP:
-        sigma = float(_sqdist(anchors, view).mean())
+        sigma = float(sqdist(anchors, view).mean())
     else:
         rng = np.random.default_rng(seed)
         si = rng.integers(n, size=PAIR_CAP)
@@ -105,12 +116,11 @@ def build_anchor_graph(view: np.ndarray, anchors: np.ndarray, sigma: float) -> n
         raise DimensionMismatch(
             f"view has {view.shape[0]} features but anchors have {anchors.shape[0]}"
         )
-    xx = np.einsum("dn,dn->n", view, view)
-    zz = np.einsum("dm,dm->m", anchors, anchors)
-    d2 = zz[:, None] + xx[None, :] - 2.0 * (anchors.T @ view)
-    np.maximum(d2, 0.0, out=d2)
+    d2 = sqdist(anchors, view)
     # Expansion leaves rounding dust where columns coincide; redo those few
     # entries with the exact elementwise form.
+    xx = np.einsum("dn,dn->n", view, view)
+    zz = np.einsum("dm,dm->m", anchors, anchors)
     dust = 1e-11 * (zz[:, None] + xx[None, :])
     for mi, ni in np.argwhere(d2 <= dust):
         diff = view[:, ni] - anchors[:, mi]
@@ -150,10 +160,3 @@ def build_all_graphs(views: list[np.ndarray], anchor_set: AnchorSet) -> list[np.
         for v, a, s in zip(views, anchor_set.anchors_per_view, anchor_set.sigma_per_view)
     ]
 
-
-def _sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distances between columns of a (D,M) and b (D,N) -> (M,N)."""
-    aa = np.einsum("dm,dm->m", a, a)
-    bb = np.einsum("dn,dn->n", b, b)
-    d2 = aa[:, None] + bb[None, :] - 2.0 * (a.T @ b)
-    return np.maximum(d2, 0.0, out=d2)

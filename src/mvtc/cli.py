@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--iters", type=int, default=None, help="solver iterations T")
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--early-stop-tol", type=float, default=None, help="relative consensus-change stop (0 = off)")
-    run_p.add_argument("--restarts", type=int, default=1, help="k-means restarts, best inertia wins")
+    run_p.add_argument("--restarts", type=int, default=None, help="k-means restarts, best inertia wins")
     run_p.add_argument("--kernel-width", default=None, help="RBF width override: one float or one per view, comma-separated")
     run_p.add_argument("--preset", choices=sorted(PRESETS), default=None, help="published hyperparameter preset")
     run_p.add_argument("--no-isc", action="store_true", help="ablation: drop the consensus coupling (beta=0)")
@@ -88,11 +88,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench_p = sub.add_parser("bench", help="solver scaling sweep over sample counts")
     bench_p.add_argument("--scale-sweep", default="10000,20000", help="comma-separated sample counts")
-    bench_p.add_argument("--anchors", type=int, default=200)
-    bench_p.add_argument("--embed-dim", type=int, default=10)
-    bench_p.add_argument("--views", type=int, default=3)
-    bench_p.add_argument("--iters", type=int, default=3)
-    bench_p.add_argument("--seed", type=int, default=0)
+    bench_p.add_argument("--anchors", type=int, default=None)
+    bench_p.add_argument("--embed-dim", type=int, default=None)
+    bench_p.add_argument("--views", type=int, default=None)
+    bench_p.add_argument("--iters", type=int, default=None)
+    bench_p.add_argument("--seed", type=int, default=None)
+    bench_p.add_argument("--repeats", type=int, default=None, help="timed solves per sample count, best kept")
     bench_p.add_argument("--out", default=None, help="write the JSON timings here")
     bench_p.set_defaults(handler=_cmd_bench)
     return parser
@@ -103,13 +104,11 @@ def _cmd_run(args) -> int:
         dataset = load_dataset(args.manifest)
     else:
         dataset = _synthetic_from_spec(args.synthetic, default_seed=args.seed)
-    preset = PRESETS[args.preset] if args.preset else {}
-
-    def pick(flag_value, key, fallback):
-        if flag_value is not None:
-            return flag_value
-        return preset.get(key, fallback)
-
+    settings = dict(PRESETS[args.preset]) if args.preset else {}
+    settings.update(_given(
+        n_anchors=args.anchors, lam=args.lam, beta=args.beta, low_freq=args.lowfreq,
+        max_iters=args.iters, early_stop_tol=args.early_stop_tol, restarts=args.restarts,
+    ))
     threads = args.threads
     if threads is None and os.environ.get("MVTC_THREADS"):
         try:
@@ -119,18 +118,12 @@ def _cmd_run(args) -> int:
     config = PipelineConfig(
         n_clusters=args.clusters,
         embed_dim=args.embed_dim,
-        n_anchors=pick(args.anchors, "n_anchors", None),
-        lam=pick(args.lam, "lam", 0.1),
-        beta=pick(args.beta, "beta", 0.1),
-        low_freq=pick(args.lowfreq, "low_freq", 16),
-        max_iters=args.iters if args.iters is not None else 7,
         seed=args.seed,
-        early_stop_tol=args.early_stop_tol if args.early_stop_tol is not None else 0.0,
-        restarts=args.restarts,
         kernel_width=_parse_kernel_width(args.kernel_width),
         no_isc=args.no_isc,
         no_igs=args.no_igs,
         threads=threads,
+        **settings,
     )
     report = run_pipeline(dataset, config, out_path=args.out)
     print(report.to_json(), end="")
@@ -177,20 +170,21 @@ def _cmd_bench(args) -> int:
         raise ValidationError(f"bad --scale-sweep value: {exc}") from exc
     if not n_values:
         raise ValidationError("--scale-sweep needs at least one sample count")
-    result = solver_scale_bench(
-        n_values,
-        n_anchors=args.anchors,
-        embed_dim=args.embed_dim,
-        n_views=args.views,
-        iters=args.iters,
-        seed=args.seed,
-    )
+    result = solver_scale_bench(n_values, **_given(
+        n_anchors=args.anchors, embed_dim=args.embed_dim, n_views=args.views,
+        iters=args.iters, seed=args.seed, repeats=args.repeats,
+    ))
     text = json.dumps(result, indent=2, sort_keys=True) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     print(text, end="")
     return 0
+
+
+def _given(**values) -> dict:
+    """The keyword arguments that were set; the rest keep the callee's defaults."""
+    return {key: value for key, value in values.items() if value is not None}
 
 
 def _synthetic_from_spec(spec: str, default_seed: int):

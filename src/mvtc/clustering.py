@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .anchors import sqdist
 from .errors import TooManyClusters
 
 __all__ = ["ClusterModel", "kmeans_fit", "assign_labels"]
@@ -34,7 +35,7 @@ class ClusterModel:
 
 def assign_labels(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Nearest center per column (squared Euclidean); ties pick the lowest index."""
-    d2 = _center_sqdist(points, centers)
+    d2 = sqdist(centers, points)
     return np.argmin(d2, axis=0)
 
 
@@ -81,7 +82,7 @@ def kmeans_fit(
 def _weighted_seed(x: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarray:
     n = x.shape[1]
     chosen = [int(rng.integers(n))]
-    d2 = _center_sqdist(x, x[:, chosen])[0]
+    d2 = sqdist(x[:, chosen], x)[0]
     for _ in range(1, c):
         total = d2.sum()
         if total > 0:
@@ -89,7 +90,7 @@ def _weighted_seed(x: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarra
         else:
             idx = min(i for i in range(n) if i not in chosen)
         chosen.append(idx)
-        d2 = np.minimum(d2, _center_sqdist(x, x[:, [idx]])[0])
+        d2 = np.minimum(d2, sqdist(x[:, [idx]], x)[0])
     return x[:, chosen].copy()
 
 
@@ -129,10 +130,3 @@ def _inertia(x: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> float:
     diff = x - centers[:, labels]
     return float(np.sum(diff * diff))
 
-
-def _center_sqdist(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared distances, shape (C, N); clipped at zero against rounding."""
-    cc = np.einsum("dc,dc->c", centers, centers)
-    xx = np.einsum("dn,dn->n", x, x)
-    d2 = cc[:, None] + xx[None, :] - 2.0 * (centers.T @ x)
-    return np.maximum(d2, 0.0, out=d2)

@@ -3,7 +3,8 @@
 Every stage is individually importable; ``run_pipeline`` wires them up,
 times them, and packages a JSON-serializable :class:`RunReport`.  All
 non-timing report content is a deterministic function of (dataset, config,
-seed).
+seed, BLAS thread count): BLAS sums in a thread-dependent order, so the
+objective trace can differ in its last digits between thread counts.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .anchors import build_all_graphs, select_anchors
+from .anchors import build_all_graphs, sample_norm_order, select_anchors
 from .clustering import ClusterModel, kmeans_fit
 from .data import MultiViewDataset
 from .errors import ValidationError
@@ -42,12 +43,12 @@ class PipelineConfig:
     n_clusters: int | None = None   # falls back to the dataset's cluster count
     embed_dim: int | None = None    # falls back to n_clusters
     n_anchors: int | None = None    # falls back to min(1000, N)
-    lam: float = 0.1
-    beta: float = 0.1
-    low_freq: int = 16
-    max_iters: int = 7
+    lam: float = SolverConfig.lam
+    beta: float = SolverConfig.beta
+    low_freq: int = SolverConfig.low_freq
+    max_iters: int = SolverConfig.max_iters
     seed: int = 0
-    early_stop_tol: float = 0.0
+    early_stop_tol: float = SolverConfig.early_stop_tol
     restarts: int = 1
     kmeans_max_iters: int = 100
     kernel_width: list[float] | float | None = None
@@ -103,6 +104,12 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig, out_path=Non
         raise ValidationError("restarts must be at least 1")
 
     _apply_thread_cap(config.threads)
+    # Before the norm sort, which would move non-finite samples.
+    for i, v in enumerate(dataset.views):
+        bad = ~np.isfinite(v).all(axis=0)
+        if bad.any():
+            first = int(np.argmax(bad))
+            raise ValidationError(f"view {i} has a non-finite value at sample {first}")
 
     t0 = time.perf_counter()
     order = sample_norm_order(dataset.views)
@@ -183,12 +190,6 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig, out_path=Non
     return report
 
 
-def sample_norm_order(views: list[np.ndarray]) -> np.ndarray:
-    """Sample indices sorted ascending by concatenated-feature L2 norm."""
-    norms = sum(np.einsum("dn,dn->n", v, v) for v in views)
-    return np.argsort(norms, kind="stable")
-
-
 def _best_kmeans(state: SolverState, n_clusters: int, config: PipelineConfig) -> ClusterModel:
     """Lowest-inertia fit over ``restarts`` seeds (ties keep the earliest)."""
     best = None
@@ -209,9 +210,9 @@ def solver_scale_bench(
     n_views: int = 3,
     iters: int = 3,
     seed: int = 0,
-    lam: float = 0.1,
-    beta: float = 0.1,
-    low_freq: int = 16,
+    lam: float = SolverConfig.lam,
+    beta: float = SolverConfig.beta,
+    low_freq: int = SolverConfig.low_freq,
     repeats: int = 2,
 ) -> dict:
     """Per-iteration solver wall-clock across sample counts.
@@ -273,7 +274,12 @@ def solver_scale_bench(
 
 
 def _apply_thread_cap(threads: int | None):
-    """Cap BLAS/OpenMP worker pools; results do not depend on the cap."""
+    """Cap BLAS/OpenMP worker pools through ``threadpoolctl``, if installed.
+
+    Without ``threadpoolctl`` the cap is silently not applied.  The thread
+    count can change the last digits of the objective trace, so results are
+    reproducible only for a fixed (dataset, config, seed, thread count).
+    """
     if threads is None:
         return
     if threads < 1:

@@ -28,14 +28,8 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import (
-    EmbedDimTooSmall,
-    InvalidLowFrequencyParameter,
-    ShapeMismatch,
-    SingularSystem,
-    ValidationError,
-)
-from .tensor_ops import lowfreq_truncate
+from .errors import EmbedDimTooSmall, ShapeMismatch, SingularSystem, ValidationError
+from .tensor_ops import check_low_freq, lowfreq_truncate
 
 # Acceptable relative residual of the ridge normal equations.
 _RIDGE_RESIDUAL_TOL = 1e-8
@@ -230,10 +224,8 @@ def run(
         raise ValidationError(
             f"embed_dim {k} exceeds the anchor count of at least one view"
         )
-    if cfg.smooth_embeddings and not 1 <= cfg.low_freq <= n // 2 + 1:
-        raise InvalidLowFrequencyParameter(
-            f"low_freq={cfg.low_freq} outside 1..{n // 2 + 1} for {n} samples"
-        )
+    if cfg.smooth_embeddings:
+        check_low_freq(n, cfg.low_freq)
 
     n_views = len(graphs)
     rng = np.random.default_rng(cfg.seed)

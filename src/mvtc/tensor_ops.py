@@ -4,8 +4,9 @@ Tensors are real numpy arrays of shape (I1, I2, I3); the "frontal slices"
 are the I1 x I2 matrices ``t[:, :, i]``.  Products, transposes, and the
 slice-wise SVD all operate on the mode-3 spectrum (an unnormalized forward
 DFT along the last axis, 1/I3 on the inverse).  ``lowfreq_truncate`` keeps
-a symmetric band of low-frequency spectrum slices and reconstructs, which
-is an orthogonal projection onto that band.
+the lowest spectrum slices through a real-input FFT (``rfft``/``irfft``,
+which hold only the non-negative half of a conjugate-symmetric spectrum)
+and reconstructs, which is an orthogonal projection onto that band.
 
 All functions are pure and safe to call concurrently.
 """
@@ -117,15 +118,22 @@ def t_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ifft_mode3(uh), ifft_mode3(sh), ifft_mode3(vh)
 
 
+def check_low_freq(depth: int, keep: int) -> None:
+    """Raise :class:`InvalidLowFrequencyParameter` unless 1 <= keep <= depth//2 + 1."""
+    if not 1 <= keep <= depth // 2 + 1:
+        raise InvalidLowFrequencyParameter(
+            f"kept low-frequency slices {keep} outside 1..{depth // 2 + 1} for depth {depth}"
+        )
+
+
 def lowfreq_truncate(b: np.ndarray, keep: int) -> np.ndarray:
     """Orthogonal projection onto the lowest ``keep`` mode-3 frequencies.
 
     Keeps the DC slice plus spectrum slices 2..keep together with their
     conjugate partners (slices N+2-keep..N, 1-based), zeroes everything
-    else, and inverts.  The partner slices are assigned by conjugation so
-    the result is real even for inputs that are only approximately real.
-    When N is even and ``keep == N/2 + 1`` the last kept slice is its own
-    partner (the real Nyquist slice) and is assigned directly.
+    else, and inverts.  The real-input transform stores only slices
+    1..floor(N/2)+1, so the partners follow by symmetry and the result is
+    real by construction.
 
     Idempotent, linear, and Frobenius-norm non-increasing; among all
     tensors supported on the kept slices it is the closest one to ``b``.
@@ -134,27 +142,15 @@ def lowfreq_truncate(b: np.ndarray, keep: int) -> np.ndarray:
     if b.ndim != 3:
         raise DimensionMismatch(f"expected a 3-d array, got shape {b.shape}")
     n = b.shape[2]
-    if not 1 <= keep <= n // 2 + 1:
-        raise InvalidLowFrequencyParameter(
-            f"keep={keep} outside the valid range 1..{n // 2 + 1} for depth {n}"
-        )
-    bh = np.fft.fft(b, axis=2)
-    yh = np.zeros_like(bh)
-    yh[:, :, 0] = bh[:, :, 0]
-    for j in range(1, keep):
-        yh[:, :, j] = bh[:, :, j]
-        partner = n - j
-        if partner != j:  # j == n/2 is the self-paired Nyquist slice
-            yh[:, :, partner] = np.conj(yh[:, :, j])
-    return ifft_mode3(yh)
+    check_low_freq(n, keep)
+    bh = np.fft.rfft(b, axis=2)
+    bh[:, :, keep:] = 0.0
+    return np.fft.irfft(bh, n=n, axis=2)
 
 
 def kept_slice_indices(depth: int, keep: int) -> np.ndarray:
     """0-based spectrum slice indices retained by ``lowfreq_truncate``."""
-    if not 1 <= keep <= depth // 2 + 1:
-        raise InvalidLowFrequencyParameter(
-            f"keep={keep} outside the valid range 1..{depth // 2 + 1} for depth {depth}"
-        )
+    check_low_freq(depth, keep)
     low = np.arange(keep)
     high = depth - np.arange(1, keep)
     return np.unique(np.concatenate([low, high]))

@@ -181,6 +181,23 @@ def test_numerical_error_exit_code(tmp_path, capsys):
     assert record["error"] == "DegenerateView"
 
 
+@pytest.mark.parametrize("token", ["nan", "inf"])
+def test_non_finite_view_value_exits_2_with_one_json_line(tmp_path, capsys, token):
+    ds = generate_synthetic(60, 2, 2, [4, 5], noise=0.1, seed=0)
+    manifest = save_dataset(ds, tmp_path / "ds")
+    view_path = tmp_path / "ds" / "view_1.csv"  # features x samples
+    rows = [line.split(",") for line in view_path.read_text().splitlines()]
+    rows[2][37] = token
+    view_path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+    code, _, stderr = run_cli(capsys, "run", "--manifest", str(manifest), "--anchors", "20")
+    assert code == 2
+    lines = stderr.strip().splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "ValidationError"
+    assert "view 1" in record["message"] and "sample 37" in record["message"]
+
+
 def test_kernel_width_override_rescues_degenerate_view(tmp_path, capsys):
     view = np.zeros((3, 10))
     path = tmp_path / "flat.csv"
@@ -242,6 +259,7 @@ def test_bench_subcommand_small(capsys):
         "--embed-dim", "4",
         "--views", "2",
         "--iters", "2",
+        "--repeats", "1",
     )
     assert code == 0
     result = json.loads(stdout)
