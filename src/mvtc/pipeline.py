@@ -18,6 +18,7 @@ import scipy
 
 from . import __version__
 from .anchors import build_all_graphs, sample_norm_order, select_anchors
+from .blas import blas_threads
 from .clustering import ClusterModel, kmeans_fit
 from .data import MultiViewDataset
 from .errors import ValidationError
@@ -223,6 +224,12 @@ def solver_scale_bench(
     discarded warmup solve (BLAS pools, allocator, and CPU clocks need a
     run to settle).  Consecutive ratios ~2 for doubled N confirm the
     expected linear scaling.
+
+    The solves run with the bundled OpenBLAS copies on one thread (see
+    :mod:`mvtc.blas`), restored afterwards: a threaded pool adds a wake-up
+    cost to every small product that does not grow with N, and on a busy
+    host it varies from call to call.  ``blas_threads`` records the counts
+    read back during the measurement (empty if no bundled copy was found).
     """
 
     def make_graphs(n: int) -> list[np.ndarray]:
@@ -238,22 +245,23 @@ def solver_scale_bench(
         state = solver_run(graphs, cfg)
         return state, time.perf_counter() - t0
 
-    solve(make_graphs(min(n_values)))  # warmup, discarded
     runs = []
-    for n in n_values:
-        graphs = make_graphs(n)
-        best, state = None, None
-        for _ in range(max(1, repeats)):
-            state, elapsed = solve(graphs)
-            best = elapsed if best is None else min(best, elapsed)
-        runs.append(
-            {
-                "n_samples": int(n),
-                "iterations": int(state.iterations),
-                "solve_s": best,
-                "per_iteration_s": best / state.iterations,
-            }
-        )
+    with blas_threads(1) as thread_counts:
+        solve(make_graphs(min(n_values)))  # warmup, discarded
+        for n in n_values:
+            graphs = make_graphs(n)
+            best, state = None, None
+            for _ in range(max(1, repeats)):
+                state, elapsed = solve(graphs)
+                best = elapsed if best is None else min(best, elapsed)
+            runs.append(
+                {
+                    "n_samples": int(n),
+                    "iterations": int(state.iterations),
+                    "solve_s": best,
+                    "per_iteration_s": best / state.iterations,
+                }
+            )
     ratios = [
         {
             "n_from": runs[i - 1]["n_samples"],
@@ -268,6 +276,7 @@ def solver_scale_bench(
         "n_views": n_views,
         "iters": iters,
         "seed": seed,
+        "blas_threads": thread_counts,
         "runs": runs,
         "ratios": ratios,
     }
