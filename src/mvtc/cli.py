@@ -134,12 +134,7 @@ def _cmd_metrics(args) -> int:
     pred = _load_labels(Path(args.pred))
     truth = _load_labels(Path(args.truth))
     scores = clustering_scores(pred, truth)
-    text = json.dumps(scores, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    print(text, end="")
-    return 0
+    return _print_json(scores, args.out)
 
 
 def _cmd_gen(args) -> int:
@@ -174,9 +169,14 @@ def _cmd_bench(args) -> int:
         n_anchors=args.anchors, embed_dim=args.embed_dim, n_views=args.views,
         iters=args.iters, seed=args.seed, repeats=args.repeats,
     ))
+    return _print_json(result, args.out)
+
+
+def _print_json(result: dict, out) -> int:
+    """Print ``result`` as JSON, and write the same text to ``out`` if set."""
     text = json.dumps(result, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     print(text, end="")
     return 0

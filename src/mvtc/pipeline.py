@@ -9,16 +9,18 @@ objective trace can differ in its last digits between thread counts.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy
 
 from . import __version__
 from .anchors import build_all_graphs, sample_norm_order, select_anchors
-from .blas import blas_threads
 from .clustering import ClusterModel, kmeans_fit
 from .data import MultiViewDataset
 from .errors import ValidationError
@@ -26,6 +28,13 @@ from .metrics import clustering_scores
 from .solver import SolverConfig, SolverState, run as solver_run
 
 DEFAULT_ANCHORS = 1000  # clamped to N on smaller datasets
+
+# (package, library glob beside its directory, symbol suffix) of the
+# OpenBLAS copy that the package's wheel bundles.
+_OPENBLAS = (
+    (np, "numpy.libs/libscipy_openblas64_*.so", "64_"),
+    (scipy, "scipy.libs/libscipy_openblas-*.so", ""),
+)
 
 # Hyperparameter presets for the public benchmark datasets, keyed by the
 # conventional dataset names.  Useful only to users who obtain the data.
@@ -88,8 +97,13 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig, out_path=Non
     along the sample axis, so it needs an order in which similar samples
     sit near each other; the norm order provides one that does not depend
     on how the files were written.  Reported labels are mapped back to
-    the input order.
+    the input order.  ``config.threads`` sets the BLAS threads for the run.
     """
+    with _thread_cap(config.threads):
+        return _cluster(dataset, config, out_path)
+
+
+def _cluster(dataset: MultiViewDataset, config: PipelineConfig, out_path) -> RunReport:
     t_total = time.perf_counter()
     n = dataset.n_samples
     n_clusters = config.n_clusters or dataset.n_clusters
@@ -104,7 +118,6 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig, out_path=Non
     if config.restarts < 1:
         raise ValidationError("restarts must be at least 1")
 
-    _apply_thread_cap(config.threads)
     # Before the norm sort, which would move non-finite samples.
     for i, v in enumerate(dataset.views):
         bad = ~np.isfinite(v).all(axis=0)
@@ -225,11 +238,8 @@ def solver_scale_bench(
     run to settle).  Consecutive ratios ~2 for doubled N confirm the
     expected linear scaling.
 
-    The solves run with the bundled OpenBLAS copies on one thread (see
-    :mod:`mvtc.blas`), restored afterwards: a threaded pool adds a wake-up
-    cost to every small product that does not grow with N, and on a busy
-    host it varies from call to call.  ``blas_threads`` records the counts
-    read back during the measurement (empty if no bundled copy was found).
+    The solves run on one BLAS thread: a threaded pool adds a per-call
+    cost that does not grow with N and varies on a busy host.
     """
 
     def make_graphs(n: int) -> list[np.ndarray]:
@@ -246,7 +256,7 @@ def solver_scale_bench(
         return state, time.perf_counter() - t0
 
     runs = []
-    with blas_threads(1) as thread_counts:
+    with _thread_cap(1):
         solve(make_graphs(min(n_values)))  # warmup, discarded
         for n in n_values:
             graphs = make_graphs(n)
@@ -276,26 +286,32 @@ def solver_scale_bench(
         "n_views": n_views,
         "iters": iters,
         "seed": seed,
-        "blas_threads": thread_counts,
         "runs": runs,
         "ratios": ratios,
     }
 
 
-def _apply_thread_cap(threads: int | None):
-    """Cap BLAS/OpenMP worker pools through ``threadpoolctl``, if installed.
+@contextmanager
+def _thread_cap(threads: int | None):
+    """Run the block with each bundled OpenBLAS copy on ``threads`` threads.
 
-    Without ``threadpoolctl`` the cap is silently not applied.  The thread
-    count can change the last digits of the objective trace, so results are
-    reproducible only for a fixed (dataset, config, seed, thread count).
+    numpy and scipy each bundle one (products run on numpy's, Cholesky on
+    scipy's); counts are set through ctypes and restored on exit.  ``None``,
+    or a build linked against another BLAS, leaves the pools as they are.
     """
-    if threads is None:
-        return
-    if threads < 1:
+    if threads is not None and threads < 1:
         raise ValidationError(f"thread cap must be positive, got {threads}")
+    restore = []
+    for package, pattern, suffix in _OPENBLAS if threads is not None else ():
+        for path in sorted(Path(package.__file__).resolve().parent.parent.glob(pattern))[:1]:
+            lib = ctypes.CDLL(str(path))
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                restore.append((put, get()))
+                put(threads)
     try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=threads)
-    except ImportError:
-        pass  # sequential fallback; the flag is advisory
+        yield
+    finally:
+        for put, count in restore:
+            put(count)

@@ -113,36 +113,24 @@ def unstack_view(tensor: np.ndarray, v: int) -> np.ndarray:
     return tensor[:, v, :]
 
 
-def ridge_factor(gram: np.ndarray, lam: float):
-    """Cholesky factor of gram + lam I, or None when it is not positive definite."""
-    try:
-        return cho_factor(gram + lam * np.eye(gram.shape[0]))
-    except np.linalg.LinAlgError:
-        return None
-
-
 def update_projection(
     embedding: np.ndarray,
     graph: np.ndarray,
     lam: float,
     gram: np.ndarray | None = None,
-    factor=None,
 ) -> np.ndarray:
     """Ridge solution U = (B phi^T)(phi phi^T + lam I)^-1.
 
-    ``gram`` is the precomputed M x M matrix phi phi^T and ``factor`` its
-    :func:`ridge_factor` (each computed here when omitted; pass them when
-    calling repeatedly).  Solved via Cholesky; falls back to the
-    pseudo-inverse when the system is singular (lam = 0) and raises
-    :class:`SingularSystem` if even that leaves a relative residual above
-    1e-8.
+    ``gram`` is the precomputed M x M matrix phi phi^T (computed here when
+    omitted; pass it when calling repeatedly).  Solved via Cholesky; falls
+    back to the pseudo-inverse when the system is singular (lam = 0) and
+    raises :class:`SingularSystem` if even that leaves a relative residual
+    above 1e-8.
     """
     b = np.asarray(embedding, dtype=float)
     phi = np.asarray(graph, dtype=float)
     if gram is None:
         gram = phi @ phi.T
-    if factor is None:
-        factor = ridge_factor(gram, lam)
     m = gram.shape[0]
     system = gram + lam * np.eye(m)
     rhs = b @ phi.T
@@ -153,7 +141,10 @@ def update_projection(
             return 0.0
         return float(np.linalg.norm(u @ system - rhs) / rhs_norm)
 
-    u = None if factor is None else cho_solve(factor, rhs.T).T
+    try:
+        u = cho_solve(cho_factor(system), rhs.T).T
+    except np.linalg.LinAlgError:
+        u = None
     if u is not None and residual(u) <= _RIDGE_RESIDUAL_TOL:
         return u
     u = rhs @ np.linalg.pinv(system)
@@ -243,9 +234,7 @@ def run(
     consensus = update_consensus(embeddings)
     lowfreq = np.zeros((k, n_views, n))
     projections = [np.zeros((k, g.shape[0])) for g in graphs]
-    # hoisted out of the loop on purpose: both are constant across iterations
-    grams = [g @ g.T for g in graphs]
-    factors = [ridge_factor(gram, cfg.lam) for gram in grams]
+    grams = [g @ g.T for g in graphs]  # hoisted out of the loop on purpose
 
     tau = cfg.tau0
     trace: list[float] = []
@@ -253,9 +242,7 @@ def run(
     for t in range(cfg.max_iters):
         previous_consensus = consensus
         for v, g in enumerate(graphs):
-            projections[v] = update_projection(
-                embeddings[v], g, cfg.lam, grams[v], factors[v]
-            )
+            projections[v] = update_projection(embeddings[v], g, cfg.lam, grams[v])
             embeddings[v] = update_embedding(
                 projections[v], g, consensus, lowfreq[:, v, :], cfg.beta
             )

@@ -1,8 +1,11 @@
+import ctypes
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mvtc import pipeline
 from mvtc.cli import main
 from mvtc.data import generate_synthetic, save_dataset
 from mvtc.pipeline import PRESETS
@@ -286,3 +289,32 @@ def test_threads_flag_and_env(tmp_path, capsys, monkeypatch):
     for r in reports:
         r.pop("timings")
     assert reports[0] == reports[1] == reports[2]  # results independent of the cap
+
+
+def openblas_threads():
+    """Thread count of each bundled OpenBLAS copy found."""
+    counts = []
+    for package, pattern, suffix in pipeline._OPENBLAS:
+        for path in sorted(Path(package.__file__).resolve().parent.parent.glob(pattern))[:1]:
+            lib = ctypes.CDLL(str(path))
+            counts.append(getattr(lib, f"scipy_openblas_get_num_threads{suffix}")())
+    return counts
+
+
+def test_threads_flag_sets_bundled_openblas_for_the_run(capsys, monkeypatch):
+    seen = []
+    solve = pipeline.solver_run
+
+    def spy(graphs, cfg):
+        seen.append(openblas_threads())
+        return solve(graphs, cfg)
+
+    monkeypatch.setattr(pipeline, "solver_run", spy)
+    before = openblas_threads()
+    code, _, _ = run_cli(
+        capsys, "run", "--synthetic", "n=40,c=2,v=1,dims=4,noise=0.1,seed=0",
+        "--anchors", "10", "--threads", "1",
+    )
+    assert code == 0
+    assert seen == [[1] * len(before)]
+    assert openblas_threads() == before  # restored after the run

@@ -13,7 +13,6 @@ from mvtc.solver import (
     SolverConfig,
     SolverState,
     objective_value,
-    ridge_factor,
     run,
     stack_views,
     unstack_view,
@@ -168,20 +167,6 @@ def test_projection_normal_equation_residual():
     rhs = b @ phi.T
     rel = np.linalg.norm(u @ system - rhs) / np.linalg.norm(rhs)
     assert rel <= 1e-8
-
-
-def test_projection_with_precomputed_factor_is_identical():
-    rng = np.random.default_rng(7)
-    b = rng.standard_normal((3, 30))
-    phi = rng.random((5, 30))
-    gram = phi @ phi.T
-    expected = update_projection(b, phi, 0.1)
-    got = update_projection(b, phi, 0.1, gram, ridge_factor(gram, 0.1))
-    np.testing.assert_array_equal(got, expected)
-
-
-def test_ridge_factor_is_none_for_a_singular_system():
-    assert ridge_factor(np.zeros((3, 3)), 0.0) is None
 
 
 def test_projection_singular_gram_falls_back_to_pinv():
