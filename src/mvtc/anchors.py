@@ -80,7 +80,7 @@ def estimate_kernel_width(view: np.ndarray, anchors: np.ndarray, seed: int = 0) 
 
     Below the cap every pair enters the mean; above it, pairs are drawn
     uniformly with a generator seeded by ``seed``.  Raises
-    :class:`DegenerateView` when the mean is zero, since a zero kernel
+    :class:`DegenerateView` when the mean is zero or overflows: such a
     width is unusable (callers may override the width manually).
     """
     view = np.asarray(view, dtype=float)
@@ -88,16 +88,17 @@ def estimate_kernel_width(view: np.ndarray, anchors: np.ndarray, seed: int = 0) 
     n, m = view.shape[1], anchors.shape[1]
     if m < 1:
         raise ValidationError("need at least one anchor")
-    if n * m <= PAIR_CAP:
-        sigma = float(sqdist(anchors, view).mean())
-    else:
-        rng = np.random.default_rng(seed)
-        si = rng.integers(n, size=PAIR_CAP)
-        ai = rng.integers(m, size=PAIR_CAP)
-        diff = view[:, si] - anchors[:, ai]
-        sigma = float(np.einsum("dp,dp->p", diff, diff).mean())
-    if sigma == 0.0:
-        raise DegenerateView("all sampled sample-anchor distances are zero")
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+        if n * m <= PAIR_CAP:
+            sigma = float(sqdist(anchors, view).mean())
+        else:
+            rng = np.random.default_rng(seed)
+            si = rng.integers(n, size=PAIR_CAP)
+            ai = rng.integers(m, size=PAIR_CAP)
+            diff = view[:, si] - anchors[:, ai]
+            sigma = float(np.einsum("dp,dp->p", diff, diff).mean())
+    if not 0.0 < sigma < np.inf:
+        raise DegenerateView(f"sampled squared distances average {sigma}, not a usable width")
     return sigma
 
 

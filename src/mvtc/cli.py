@@ -13,9 +13,8 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
-from .data import generate_synthetic, load_dataset, save_dataset, _load_labels
+from .data import generate_synthetic, load_dataset, load_labels, save_dataset
 from .errors import NumericalError, ValidationError
 from .metrics import clustering_scores
 from .pipeline import PRESETS, PipelineConfig, run_pipeline, solver_scale_bench
@@ -131,9 +130,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    pred = _load_labels(Path(args.pred))
-    truth = _load_labels(Path(args.truth))
-    scores = clustering_scores(pred, truth)
+    scores = clustering_scores(load_labels(args.pred), load_labels(args.truth))
     return _print_json(scores, args.out)
 
 

@@ -4,7 +4,8 @@ Two on-disk matrix formats:
 
 * ``csv`` -- comma-separated, optional header row, ``%.17g`` floats (so a
   save/load round trip is bit-exact).  Rows are samples by default; the
-  manifest ``orientation`` field flips that.
+  manifest ``orientation`` field flips that.  Blank lines are skipped; a
+  ``#`` line is not a comment but an error.
 * ``bin`` -- 8-byte magic ``MVTCBIN1``, then two little-endian uint64
   (rows, cols), then rows*cols little-endian float64 in row-major order.
 
@@ -22,13 +23,17 @@ A dataset is described by a JSON manifest::
 
 Paths are relative to the manifest's directory; ``labels_path`` and
 ``n_clusters`` are optional.  Orientation ``"samples"`` means rows are
-samples (the matrix is transposed to features x samples on load).
+samples (the matrix is transposed to features x samples on load).  A
+labels file holds one integer per line (``1.0`` reads as 1; ``1.7``,
+``nan`` or ``1e20`` is an error).  Every view value must be finite, which
+:class:`MultiViewDataset` checks when a dataset is built.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,10 +47,18 @@ _ORIENTATIONS = ("samples", "features")
 
 @dataclass
 class MultiViewDataset:
+    """Views plus optional ground truth; a non-finite view value fails construction."""
+
     views: list[np.ndarray]          # feature-major, (D_v, N)
     labels: np.ndarray | None = None
     n_clusters: int | None = None
     name: str = "dataset"
+
+    def __post_init__(self):
+        for i, v in enumerate(self.views):
+            bad = ~np.isfinite(v).all(axis=0)
+            if bad.any():
+                raise ValidationError(f"view {i} has a non-finite value at sample {np.argmax(bad)}")
 
     @property
     def n_samples(self) -> int:
@@ -120,41 +133,45 @@ def save_dataset(dataset: MultiViewDataset, out_dir, fmt: str = "csv") -> Path:
 def load_dataset(manifest_path) -> MultiViewDataset:
     """Load every view named by a manifest and cross-validate sample counts."""
     manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
+    if not manifest_path.is_file():
         raise MissingFile(f"manifest not found: {manifest_path}")
     try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad JSON or bad UTF-8
         raise ParseError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ValidationError(f"manifest {manifest_path} is not a JSON object")
     entries = manifest.get("views")
-    if not entries:
-        raise ValidationError(f"manifest {manifest_path} declares no views")
+    if not entries or not isinstance(entries, list) or not all(
+        isinstance(e, dict) and isinstance(e.get("path"), str) for e in entries
+    ):
+        raise ValidationError(f"manifest {manifest_path}: 'views' must list objects with a 'path'")
+    n_clusters = manifest.get("n_clusters")
+    if n_clusters is not None and type(n_clusters) is not int:  # a bool is no count
+        raise ValidationError(f"manifest {manifest_path}: 'n_clusters' must be an integer")
+    labels_rel = manifest.get("labels_path")
+    if labels_rel is not None and not isinstance(labels_rel, str):
+        raise ValidationError(f"manifest {manifest_path}: 'labels_path' must be a string")
     base = manifest_path.parent
-    views, names = [], []
-    for entry in entries:
-        path = base / entry["path"]
-        fmt = entry.get("format", "csv")
-        orientation = entry.get("orientation", "samples")
-        views.append(load_matrix(path, fmt=fmt, orientation=orientation))
-        names.append(str(entry["path"]))
+    views = [
+        load_matrix(base / e["path"], e.get("format", "csv"), e.get("orientation", "samples"))
+        for e in entries
+    ]
     counts = [v.shape[1] for v in views]
     if len(set(counts)) > 1:
-        detail = ", ".join(f"'{p}' has {c} samples" for p, c in zip(names, counts))
+        detail = ", ".join(f"'{e['path']}' has {c} samples" for e, c in zip(entries, counts))
         raise DimensionMismatch(f"views disagree on the sample count: {detail}")
     labels = None
-    if manifest.get("labels_path"):
-        labels_path = base / manifest["labels_path"]
-        labels = _load_labels(labels_path)
+    if labels_rel:
+        labels = load_labels(base / labels_rel)
         if labels.size != counts[0]:
             raise DimensionMismatch(
-                f"labels file '{manifest['labels_path']}' has {labels.size} entries, "
-                f"expected {counts[0]}"
+                f"labels file '{labels_rel}' has {labels.size} entries, expected {counts[0]}"
             )
-    n_clusters = manifest.get("n_clusters")
     return MultiViewDataset(
         views=views,
         labels=labels,
-        n_clusters=int(n_clusters) if n_clusters is not None else None,
+        n_clusters=n_clusters,
         name=str(manifest.get("name", manifest_path.stem)),
     )
 
@@ -164,7 +181,7 @@ def load_matrix(path, fmt: str = "csv", orientation: str = "samples") -> np.ndar
     path = Path(path)
     if orientation not in _ORIENTATIONS:
         raise ValidationError(f"orientation must be one of {_ORIENTATIONS}, got '{orientation}'")
-    if not path.exists():
+    if not path.is_file():
         raise MissingFile(f"view file not found: {path}")
     if fmt == "csv":
         data = _read_csv_matrix(path)
@@ -194,56 +211,54 @@ def write_matrix(path, data: np.ndarray, fmt: str = "csv", orientation: str = "s
         raise ValidationError(f"unknown matrix format '{fmt}'")
 
 
+def load_labels(path) -> np.ndarray:
+    """Read one integer label per line (``1.0`` reads as 1) into an int64 vector."""
+    path = Path(path)
+    if not path.is_file():
+        raise MissingFile(f"labels file not found: {path}")
+    values = _loadtxt(path, path, encoding="utf-8")
+    # Every integral float64 below 2**63 in magnitude fits in int64.
+    integral = (np.abs(values) < 2.0**63) & (values == np.floor(values))
+    if values.shape[1] != 1 or not integral.all():
+        raise ParseError(f"{path}: labels must be one integer per line")
+    return values[:, 0].astype(np.int64)
+
+
 def _read_csv_matrix(path: Path) -> np.ndarray:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
-        raise ParseError(f"{path}: empty file")
-    start = 0
-    try:
-        [float(tok) for tok in lines[0].split(",")]
-    except ValueError:
-        start = 1  # header row
-    width = None
-    for ln_no, line in enumerate(lines[start:], start=start + 1):
+    # A byte that is not UTF-8 becomes U+FFFD, which no number parses as.
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        first = next((line for line in fh if line.strip()), None)
+        if first is None:
+            raise ParseError(f"{path}: empty file")
         try:
-            row = [float(tok) for tok in line.split(",")]
-        except ValueError as exc:
-            raise ParseError(f"{path}:{ln_no}: {exc}") from exc
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ParseError(
-                f"{path}:{ln_no}: expected {width} columns, found {len(row)}"
-            )
-        rows.append(row)
-    if not rows:
+            np.loadtxt([first], delimiter=",", comments=None)
+            fh.seek(0)  # the first line is data
+        except ValueError:
+            pass  # a header row: read on from the line after it
+        data = _loadtxt(path, fh, delimiter=",")
+    if data.size == 0:
         raise ParseError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float)
+    return data
+
+
+def _loadtxt(path: Path, source, **kwargs) -> np.ndarray:
+    """``np.loadtxt`` into a 2-D float array, ``#`` read as data; ParseError names ``path``."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # empty input; callers check
+            return np.loadtxt(source, ndmin=2, comments=None, **kwargs)
+    except ValueError as exc:  # ragged row, bad token, or bad UTF-8
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _read_bin_matrix(path: Path) -> np.ndarray:
-    raw = path.read_bytes()
     header = len(BIN_MAGIC) + 16
-    if len(raw) < header or raw[: len(BIN_MAGIC)] != BIN_MAGIC:
+    with open(path, "rb") as fh:
+        head = fh.read(header)
+    if len(head) < header or head[: len(BIN_MAGIC)] != BIN_MAGIC:
         raise ParseError(f"{path}: missing {BIN_MAGIC!r} header")
-    rows, cols = struct.unpack("<QQ", raw[len(BIN_MAGIC) : header])
-    expected = header + rows * cols * 8
-    if len(raw) != expected:
-        raise ParseError(
-            f"{path}: expected {expected} bytes for a {rows}x{cols} matrix, found {len(raw)}"
-        )
-    data = np.frombuffer(raw, dtype="<f8", offset=header)
-    return data.reshape(rows, cols).astype(float)
-
-
-def _load_labels(path: Path) -> np.ndarray:
-    if not path.exists():
-        raise MissingFile(f"labels file not found: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    try:
-        return np.asarray([int(float(ln)) for ln in lines], dtype=np.int64)
-    except ValueError as exc:
-        raise ParseError(f"{path}: labels must be integers: {exc}") from exc
+    rows, cols = struct.unpack("<QQ", head[len(BIN_MAGIC) :])
+    size = path.stat().st_size
+    if size != header + rows * cols * 8:
+        raise ParseError(f"{path}: {size} bytes is the wrong size for a {rows}x{cols} matrix")
+    return np.fromfile(path, dtype="<f8", offset=header).reshape(rows, cols)

@@ -59,8 +59,8 @@ class NonRealResult(NumericalError):
 
 
 class DegenerateView(NumericalError):
-    """Kernel-width estimation collapsed to zero (all sampled distances zero)."""
+    """Kernel-width estimation gave zero (all sampled distances zero) or overflowed."""
 
 
 class SingularSystem(NumericalError):
-    """Ridge system unsolvable within tolerance even via pseudo-inverse."""
+    """Ridge system not finite, or unsolvable within tolerance even via pseudo-inverse."""

@@ -118,13 +118,6 @@ def _cluster(dataset: MultiViewDataset, config: PipelineConfig, out_path) -> Run
     if config.restarts < 1:
         raise ValidationError("restarts must be at least 1")
 
-    # Before the norm sort, which would move non-finite samples.
-    for i, v in enumerate(dataset.views):
-        bad = ~np.isfinite(v).all(axis=0)
-        if bad.any():
-            first = int(np.argmax(bad))
-            raise ValidationError(f"view {i} has a non-finite value at sample {first}")
-
     t0 = time.perf_counter()
     order = sample_norm_order(dataset.views)
     views = [np.ascontiguousarray(v[:, order]) for v in dataset.views]

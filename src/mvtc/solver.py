@@ -11,10 +11,9 @@ Every step is the exact minimizer of its subproblem: the z-score
 normalization is the orthogonal projection onto the constraint set (each
 column has mean 0 and sample standard deviation 1, denominator K-1), so
 the objective is non-increasing across iterations up to floating-point
-noise.  The weight ``tau`` of the smoothing term is tracked with its
-1.1-per-iteration growth schedule but does not enter any update: under the
-subspace-indicator reading of the smoothing penalty, the hard truncation
-is the exact minimizer regardless of the weight.
+noise.  The smoothing term carries no weight: under the subspace-indicator
+reading of the smoothing penalty, the hard truncation is the exact
+minimizer whatever the weight, so no weight schedule is kept.
 
 All randomness flows from ``SolverConfig.seed``; repeated runs are
 bit-identical.
@@ -48,8 +47,6 @@ class SolverConfig:
     beta: float = 0.1           # consensus coupling weight
     low_freq: int = 16          # kept spectrum slices, 1..floor(N/2)+1
     max_iters: int = 7
-    tau0: float = 1.0
-    tau_growth: float = 1.1
     seed: int = 0
     early_stop_tol: float = 0.0
     smooth_embeddings: bool = True  # False: step 3 passes the stacked tensor through
@@ -65,7 +62,6 @@ class SolverState:
     lowfreq_tensor: np.ndarray      # K x V x N
     iterations: int = 0
     objective_trace: list[float] = field(default_factory=list)
-    tau: float = 1.0
 
 
 def zscore_normalize_columns(mat: np.ndarray) -> np.ndarray:
@@ -125,7 +121,7 @@ def update_projection(
     omitted; pass it when calling repeatedly).  Solved via Cholesky; falls
     back to the pseudo-inverse when the system is singular (lam = 0) and
     raises :class:`SingularSystem` if even that leaves a relative residual
-    above 1e-8.
+    above 1e-8 (or a NaN one), or if the system is not finite.
     """
     b = np.asarray(embedding, dtype=float)
     phi = np.asarray(graph, dtype=float)
@@ -133,6 +129,8 @@ def update_projection(
         gram = phi @ phi.T
     m = gram.shape[0]
     system = gram + lam * np.eye(m)
+    if not np.isfinite(system).all():
+        raise SingularSystem("ridge system has a non-finite entry")
     rhs = b @ phi.T
     rhs_norm = np.linalg.norm(rhs)
 
@@ -148,7 +146,7 @@ def update_projection(
     if u is not None and residual(u) <= _RIDGE_RESIDUAL_TOL:
         return u
     u = rhs @ np.linalg.pinv(system)
-    if residual(u) > _RIDGE_RESIDUAL_TOL:
+    if not residual(u) <= _RIDGE_RESIDUAL_TOL:
         raise SingularSystem(
             f"normal-equation residual {residual(u):.3e} above {_RIDGE_RESIDUAL_TOL:.0e}"
         )
@@ -236,9 +234,8 @@ def run(
     projections = [np.zeros((k, g.shape[0])) for g in graphs]
     grams = [g @ g.T for g in graphs]  # hoisted out of the loop on purpose
 
-    tau = cfg.tau0
     trace: list[float] = []
-    state = SolverState(projections, embeddings, consensus, lowfreq, 0, trace, tau)
+    state = SolverState(projections, embeddings, consensus, lowfreq, 0, trace)
     for t in range(cfg.max_iters):
         previous_consensus = consensus
         for v, g in enumerate(graphs):
@@ -251,11 +248,10 @@ def run(
         else:
             lowfreq = stack_views(embeddings)
         consensus = update_consensus(embeddings)
-        tau *= cfg.tau_growth
         # shallow list copies: later iterations rebind entries, and callback
         # holders expect a consistent per-iteration snapshot
         state = SolverState(
-            list(projections), list(embeddings), consensus, lowfreq, t + 1, trace, tau
+            list(projections), list(embeddings), consensus, lowfreq, t + 1, trace
         )
         trace.append(objective_value(state, graphs, cfg))
         if callback is not None:

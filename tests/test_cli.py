@@ -1,9 +1,14 @@
+import contextlib
 import ctypes
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mvtc import pipeline
 from mvtc.cli import main
@@ -199,6 +204,88 @@ def test_non_finite_view_value_exits_2_with_one_json_line(tmp_path, capsys, toke
     record = json.loads(lines[0])
     assert record["error"] == "ValidationError"
     assert "view 1" in record["message"] and "sample 37" in record["message"]
+
+
+@pytest.mark.parametrize(
+    "width_args, error",
+    [([], "DegenerateView"), (["--kernel-width", "1"], "SingularSystem")],
+    ids=["estimated-width", "given-width"],
+)
+def test_huge_finite_view_values_exit_3_with_one_json_line(tmp_path, capsys, width_args, error):
+    # finite values whose squared distances overflow to inf and then NaN
+    ds = generate_synthetic(60, 2, 2, [4, 5], noise=0.1, seed=0)
+    ds.views[1] *= 1e200
+    manifest = save_dataset(ds, tmp_path / "ds")
+    code, _, stderr = run_cli(
+        capsys, "run", "--manifest", str(manifest), "--anchors", "20", *width_args
+    )
+    assert code == 3
+    lines = stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == error
+
+
+# One CSV view, one bin view and a labels file, as the property test below
+# lays them out; the manifest is fixed text so examples can point into it.
+CONTRACT_MANIFEST = json.dumps({
+    "n_clusters": 3,
+    "labels_path": "labels.csv",
+    "views": [
+        {"path": "view_0.csv", "format": "csv", "orientation": "features"},
+        {"path": "view_1.bin", "format": "bin", "orientation": "features"},
+    ],
+})
+CORRUPTIONS = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(min_value=0), st.just(b"")),
+    st.tuples(st.just("overwrite"), st.integers(min_value=0), st.binary(min_size=1, max_size=8)),
+    st.tuples(
+        st.just("insert"),
+        st.integers(min_value=0),
+        st.sampled_from([b"nan", b"1e400", b"1e20", b"1.7", b"x", b"-", b",", b"#", b"\n"]),
+    ),
+)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)  # the same examples every run
+@given(
+    name=st.sampled_from(["manifest.json", "view_0.csv", "view_1.bin", "labels.csv"]),
+    corruption=CORRUPTIONS,
+)
+@example(name="labels.csv", corruption=("insert", 0, b"1e20"))
+@example(name="manifest.json", corruption=("insert", CONTRACT_MANIFEST.index('"path"') + 2, b"x"))
+@example(name="view_1.bin", corruption=("overwrite", 31, b"\x7e"))  # first value ~1e303
+def test_corrupted_input_exits_0_2_or_3_with_one_json_line(name, corruption):
+    kind, position, payload = corruption
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        ds = generate_synthetic(30, 3, 2, [3, 4], noise=0.1, seed=0)
+        save_dataset(ds, root, fmt="csv")
+        save_dataset(ds, root, fmt="bin")
+        (root / "manifest.json").write_text(CONTRACT_MANIFEST)
+        (root / "truth.csv").write_bytes((root / "labels.csv").read_bytes())
+        target = root / name
+        raw = target.read_bytes()
+        at = position % (len(raw) + 1)
+        if kind == "truncate":
+            raw = raw[:at]
+        elif kind == "overwrite":
+            raw = raw[:at] + payload + raw[at + len(payload):]
+        else:
+            raw = raw[:at] + payload + raw[at:]
+        target.write_bytes(raw)
+        commands = [["run", "--manifest", str(root / "manifest.json")]]
+        if name == "labels.csv":
+            commands.append(["metrics", "--pred", str(target), "--truth", str(root / "truth.csv")])
+        for argv in commands:
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            assert code in (0, 2, 3)
+            if code:
+                lines = stderr.getvalue().splitlines()
+                assert len(lines) == 1
+                record = json.loads(lines[0])
+                assert record["error"] and record["message"]
 
 
 def test_kernel_width_override_rescues_degenerate_view(tmp_path, capsys):

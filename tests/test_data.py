@@ -7,6 +7,7 @@ from mvtc.data import (
     MultiViewDataset,
     generate_synthetic,
     load_dataset,
+    load_labels,
     load_matrix,
     save_dataset,
     write_matrix,
@@ -86,6 +87,28 @@ def test_csv_ragged_rows_rejected(tmp_path):
         load_matrix(path, fmt="csv")
 
 
+def test_csv_header_after_blank_lines_is_skipped(tmp_path):
+    path = tmp_path / "v.csv"
+    path.write_text("\n\nf0,f1\n1,2\n\n3,4\n")
+    got = load_matrix(path, fmt="csv", orientation="features")
+    np.testing.assert_array_equal(got, np.array([[1.0, 2.0], [3.0, 4.0]]))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "\n\n", "f0,f1\n", "1,2\n# note\n", "1,2,\n", "1,2\n3,x\n", b"1,\xff\n"],
+    ids=["empty", "blank", "header-only", "hash-line", "trailing-comma", "bad-token", "bad-utf8"],
+)
+def test_csv_malformed_is_a_parse_error_naming_the_file(tmp_path, text):
+    path = tmp_path / "v.csv"
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+    with pytest.raises(ParseError, match="v.csv"):
+        load_matrix(path, fmt="csv")
+
+
 def test_bin_bad_magic_rejected(tmp_path):
     path = tmp_path / "v.bin"
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
@@ -150,6 +173,60 @@ def test_labels_length_mismatch_is_reported(tmp_path):
     with pytest.raises(DimensionMismatch) as err:
         load_dataset(tmp_path / "manifest.json")
     assert "labels.csv" in str(err.value)
+
+
+def test_labels_integral_floats_accepted(tmp_path):
+    path = tmp_path / "labels.csv"
+    path.write_text("1.0\n\n-2\n3e0\n")
+    got = load_labels(path)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, [1, -2, 3])
+
+
+@pytest.mark.parametrize("token", ["1.7", "nan", "inf", "1e20", "x", "1 2"])
+def test_labels_that_are_not_finite_integers_rejected(tmp_path, token):
+    path = tmp_path / "labels.csv"
+    path.write_text(f"0\n{token}\n1\n")
+    with pytest.raises(ParseError, match="labels.csv"):
+        load_labels(path)
+
+
+@pytest.mark.parametrize("token", ["nan", "-inf", "1e400"])
+def test_loaded_non_finite_view_is_rejected(tmp_path, token):
+    (tmp_path / "v.csv").write_text(f"1,2\n3,{token}\n5,6\n")
+    (tmp_path / "manifest.json").write_text(json.dumps({"views": [{"path": "v.csv"}]}))
+    with pytest.raises(ValidationError, match="view 0 has a non-finite value at sample 1"):
+        load_dataset(tmp_path / "manifest.json")
+
+
+def test_built_non_finite_view_is_rejected():
+    views = [np.ones((2, 4)), np.ones((3, 4))]
+    views[1][2, 3] = np.nan
+    with pytest.raises(ValidationError, match="view 1 has a non-finite value at sample 3"):
+        MultiViewDataset(views=views)
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        [1, 2],
+        {"views": [{"format": "csv"}]},
+        {"views": ["v.csv"]},
+        {"views": {"path": "v.csv"}},
+        {"n_clusters": "two", "views": [{"path": "v.csv"}]},
+        {"n_clusters": 2.5, "views": [{"path": "v.csv"}]},
+        {"labels_path": 3, "views": [{"path": "v.csv"}]},
+    ],
+    ids=[
+        "not-an-object", "view-without-path", "view-not-an-object", "views-not-a-list",
+        "n-clusters-string", "n-clusters-float", "labels-path-not-a-string",
+    ],
+)
+def test_malformed_manifest_is_a_validation_error(tmp_path, manifest):
+    (tmp_path / "v.csv").write_text("1,2\n3,4\n")
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValidationError, match="manifest"):
+        load_dataset(tmp_path / "manifest.json")
 
 
 def test_missing_manifest_and_bad_json(tmp_path):
