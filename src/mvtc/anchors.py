@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_views
 from .errors import DegenerateView, DimensionMismatch, TooManyAnchors, ValidationError
 
 # Kernel-width estimation averages at most this many (sample, anchor) pairs.
@@ -30,30 +31,12 @@ class AnchorSet:
 
     indices: np.ndarray                  # (M,) sample indices, shared across views
     anchors_per_view: list[np.ndarray]   # one (D_v, M) matrix per view
-    sigma_per_view: list[float]          # RBF kernel width per view, > 0
-
-    @property
-    def n_anchors(self) -> int:
-        return int(self.indices.size)
-
-
-def _check_views(views: list[np.ndarray]) -> int:
-    if not views:
-        raise ValidationError("need at least one view")
-    n = views[0].shape[1]
-    for i, v in enumerate(views):
-        if v.ndim != 2:
-            raise DimensionMismatch(f"view {i} is not a matrix: shape {v.shape}")
-        if v.shape[1] != n:
-            raise DimensionMismatch(
-                f"view {i} has {v.shape[1]} samples but view 0 has {n}"
-            )
-    return n
+    sigma_per_view: list[float]          # RBF kernel width per view, positive and finite
 
 
 def select_anchor_indices(views: list[np.ndarray], m: int, seed: int) -> np.ndarray:
     """Draw M shared sample indices; deterministic under ``seed``."""
-    n = _check_views(views)
+    n = check_views(views)
     if not 1 <= m <= n:
         raise TooManyAnchors(f"requested {m} anchors from {n} samples")
     order = sample_norm_order(views)
@@ -105,28 +88,33 @@ def estimate_kernel_width(view: np.ndarray, anchors: np.ndarray, seed: int = 0) 
 def build_anchor_graph(view: np.ndarray, anchors: np.ndarray, sigma: float) -> np.ndarray:
     """M x N graph with entries exp(-||x_n - z_m||^2 / sigma), in (0, 1].
 
-    Entries equal 1 exactly when the sample coincides with the anchor:
-    near-zero distances from the fast Gram expansion are recomputed by
-    explicit summation, which is exact for identical columns.
+    Entries equal 1 exactly when the sample coincides with the anchor.  The
+    Gram expansion in :func:`sqdist` leaves rounding dust there, so the two
+    squared-norm vectors are computed again here, and every distance below
+    1e-11 of their sum is redone as an explicit sum of squared differences,
+    which is exact for identical columns.  Features whose squared norms
+    overflow select no entry and leave a non-finite graph, which the solver
+    rejects.
     """
-    if sigma <= 0:
-        raise ValidationError(f"kernel width must be positive, got {sigma}")
+    if not 0 < sigma < np.inf:
+        raise ValidationError(f"kernel width must be positive and finite, got {sigma}")
     view = np.asarray(view, dtype=float)
     anchors = np.asarray(anchors, dtype=float)
     if view.shape[0] != anchors.shape[0]:
         raise DimensionMismatch(
             f"view has {view.shape[0]} features but anchors have {anchors.shape[0]}"
         )
-    d2 = sqdist(anchors, view)
-    # Expansion leaves rounding dust where columns coincide; redo those few
-    # entries with the exact elementwise form.
-    xx = np.einsum("dn,dn->n", view, view)
-    zz = np.einsum("dm,dm->m", anchors, anchors)
-    dust = 1e-11 * (zz[:, None] + xx[None, :])
-    for mi, ni in np.argwhere(d2 <= dust):
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected downstream
+        d2 = sqdist(anchors, view)
+        threshold = np.add.outer(
+            np.einsum("dm,dm->m", anchors, anchors), np.einsum("dn,dn->n", view, view)
+        )
+        threshold *= 1e-11
+        mi, ni = np.nonzero(d2 < threshold)  # strict: an inf or NaN threshold selects nothing
         diff = view[:, ni] - anchors[:, mi]
-        d2[mi, ni] = float(diff @ diff)
-    return np.exp(-d2 / sigma)
+        d2[mi, ni] = np.einsum("dp,dp->p", diff, diff)
+        np.divide(d2, -sigma, out=d2)  # bit-equal to -d2 / sigma
+        return np.exp(d2, out=d2)
 
 
 def select_anchors(
@@ -149,8 +137,8 @@ def select_anchors(
                 raise ValidationError(
                     f"got {len(sigmas)} kernel widths for {len(views)} views"
                 )
-        if any(s <= 0 for s in sigmas):
-            raise ValidationError("kernel widths must be positive")
+        if not all(0 < s < np.inf for s in sigmas):
+            raise ValidationError(f"kernel widths must be positive and finite, got {sigmas}")
     return AnchorSet(indices=indices, anchors_per_view=anchor_cols, sigma_per_view=sigmas)
 
 

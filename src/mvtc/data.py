@@ -47,7 +47,7 @@ _ORIENTATIONS = ("samples", "features")
 
 @dataclass
 class MultiViewDataset:
-    """Views plus optional ground truth; a non-finite view value fails construction."""
+    """Views plus optional ground truth; bad view shapes or values fail construction."""
 
     views: list[np.ndarray]          # feature-major, (D_v, N)
     labels: np.ndarray | None = None
@@ -55,6 +55,7 @@ class MultiViewDataset:
     name: str = "dataset"
 
     def __post_init__(self):
+        check_views(self.views)
         for i, v in enumerate(self.views):
             bad = ~np.isfinite(v).all(axis=0)
             if bad.any():
@@ -67,6 +68,20 @@ class MultiViewDataset:
     @property
     def n_views(self) -> int:
         return len(self.views)
+
+
+def check_views(views: list[np.ndarray]) -> int:
+    """Shared sample count of a non-empty list of 2-D views; raises naming the bad view."""
+    if len(views) == 0:
+        raise ValidationError("need at least one view")
+    for i, v in enumerate(views):
+        if v.ndim != 2:
+            raise DimensionMismatch(f"view {i} is not a matrix: shape {v.shape}")
+        if v.shape[1] != views[0].shape[1]:
+            raise DimensionMismatch(
+                f"view {i} has {v.shape[1]} samples but view 0 has {views[0].shape[1]}"
+            )
+    return views[0].shape[1]
 
 
 def generate_synthetic(

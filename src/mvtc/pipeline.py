@@ -60,7 +60,6 @@ class PipelineConfig:
     seed: int = 0
     early_stop_tol: float = SolverConfig.early_stop_tol
     restarts: int = 1
-    kmeans_max_iters: int = 100
     kernel_width: list[float] | float | None = None
     no_isc: bool = False   # drop the consensus coupling (beta forced to 0)
     no_igs: bool = False   # skip low-frequency smoothing (tensor passes through)
@@ -175,7 +174,7 @@ def _cluster(dataset: MultiViewDataset, config: PipelineConfig, out_path) -> Run
             "no_igs": bool(config.no_igs),
         },
         metrics=scores,
-        labels_pred=[int(c) for c in labels_pred],
+        labels_pred=labels_pred.tolist(),
         objective_trace=[float(v) for v in state.objective_trace],
         iterations=int(state.iterations),
         timings={
@@ -201,10 +200,7 @@ def _best_kmeans(state: SolverState, n_clusters: int, config: PipelineConfig) ->
     """Lowest-inertia fit over ``restarts`` seeds (ties keep the earliest)."""
     best = None
     for r in range(config.restarts):
-        model = kmeans_fit(
-            state.consensus, n_clusters, seed=config.seed + r,
-            max_iters=config.kmeans_max_iters,
-        )
+        model = kmeans_fit(state.consensus, n_clusters, seed=config.seed + r)
         if best is None or model.inertia < best.inertia:
             best = model
     return best
@@ -217,9 +213,6 @@ def solver_scale_bench(
     n_views: int = 3,
     iters: int = 3,
     seed: int = 0,
-    lam: float = SolverConfig.lam,
-    beta: float = SolverConfig.beta,
-    low_freq: int = SolverConfig.low_freq,
     repeats: int = 2,
 ) -> dict:
     """Per-iteration solver wall-clock across sample counts.
@@ -228,8 +221,9 @@ def solver_scale_bench(
     measurement isolates the solver; per-iteration time is the best of
     ``repeats`` full solves divided by the iteration count, after one
     discarded warmup solve (BLAS pools, allocator, and CPU clocks need a
-    run to settle).  Consecutive ratios ~2 for doubled N confirm the
-    expected linear scaling.
+    run to settle).  The solves take :class:`SolverConfig`'s default
+    ``lam``, ``beta`` and ``low_freq``.  Consecutive ratios ~2 for doubled
+    N confirm the expected linear scaling.
 
     The solves run on one BLAS thread: a threaded pool adds a per-call
     cost that does not grow with N and varies on a busy host.
@@ -240,10 +234,7 @@ def solver_scale_bench(
         return [1.0 - rng.random((n_anchors, n)) for _ in range(n_views)]
 
     def solve(graphs: list[np.ndarray]):
-        cfg = SolverConfig(
-            embed_dim=embed_dim, lam=lam, beta=beta, low_freq=low_freq,
-            max_iters=iters, seed=seed,
-        )
+        cfg = SolverConfig(embed_dim=embed_dim, max_iters=iters, seed=seed)
         t0 = time.perf_counter()
         state = solver_run(graphs, cfg)
         return state, time.perf_counter() - t0

@@ -77,12 +77,12 @@ def zscore_normalize_columns(mat: np.ndarray) -> np.ndarray:
         raise EmbedDimTooSmall(f"need at least 2 rows to normalize, got {k}")
     centered = mat - mat.mean(axis=0)
     std = centered.std(axis=0, ddof=1)
-    out = np.empty_like(centered)
-    live = std > 0
-    out[:, live] = centered[:, live] / std[live]
-    if not live.all():
-        out[:, ~live] = _unit_variance_template(k)[:, None]
-    return out
+    with np.errstate(divide="ignore", invalid="ignore"):  # zero-variance columns are patched below
+        np.divide(centered, std, out=centered)
+    dead = std == 0
+    if dead.any():
+        centered[:, dead] = _unit_variance_template(k)[:, None]
+    return centered
 
 
 def _unit_variance_template(k: int) -> np.ndarray:

@@ -1,3 +1,6 @@
+import time
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from mvtc.anchors import (
     select_anchor_indices,
     select_anchors,
 )
+from mvtc.data import generate_synthetic
 from mvtc.errors import DegenerateView, DimensionMismatch, TooManyAnchors, ValidationError
 
 
@@ -131,6 +135,14 @@ def test_graph_entry_is_one_exactly_for_coincident_columns():
     assert graph[1, 4] == 1.0
     coincident = (graph == 1.0).sum()
     assert coincident == 2  # no other column pair coincides
+    # noise-free clusters: each anchor coincides with every sample of its cluster
+    ds = generate_synthetic(40, 4, 1, [5], noise=0.0, seed=3)
+    view = ds.views[0]
+    picks = [int(np.argmax(ds.labels == c)) for c in range(4)]
+    graph = build_anchor_graph(view, view[:, picks].copy(), sigma=0.7)
+    same = ds.labels[picks][:, None] == ds.labels[None, :]
+    assert np.all(graph[same] == 1.0)
+    assert (graph == 1.0).sum() == same.sum() == 40
 
 
 def test_graph_unit_ratio_entry():
@@ -173,8 +185,23 @@ def test_graph_scale_invariance():
 
 
 def test_graph_rejects_nonpositive_width():
-    with pytest.raises(ValidationError):
-        build_anchor_graph(np.ones((2, 3)), np.ones((2, 1)), sigma=0.0)
+    for sigma in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValidationError):
+            build_anchor_graph(np.ones((2, 3)), np.ones((2, 1)), sigma=sigma)
+
+
+def test_graph_of_overflowing_view_is_non_finite_quick_and_quiet():
+    # squared norms overflow: no entry is recomputed, and no warning is raised
+    view = np.random.default_rng(4).standard_normal((16, 5000)) * 1e200
+    anchors = view[:, ::10].copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t0 = time.perf_counter()
+        graph = build_anchor_graph(view, anchors, sigma=1.0)
+        elapsed = time.perf_counter() - t0
+    assert graph.shape == (500, 5000)
+    assert not np.isfinite(graph).all()
+    assert elapsed < 2.0
 
 
 def test_cross_view_anchor_alignment():

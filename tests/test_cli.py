@@ -152,6 +152,8 @@ def test_presets_match_published_values():
         ["run", "--synthetic", "n=20,c=2,v=1,dims=4", "--kernel-width", "abc"],
         ["bench", "--scale-sweep", "10,oops"],
         ["gen-synthetic", "--samples", "10", "--clusters", "2", "--dims", "x", "--out", "/tmp/x"],
+        ["run", "--synthetic", "n=300,c=3,v=2,dims=4:5", "--anchors", "30", "--kernel-width=inf"],
+        ["run", "--synthetic", "n=300,c=3,v=2,dims=4:5", "--anchors", "30", "--kernel-width=nan"],
     ],
 )
 def test_malformed_flag_values_exit_cleanly(argv, capsys):
@@ -211,7 +213,9 @@ def test_non_finite_view_value_exits_2_with_one_json_line(tmp_path, capsys, toke
     [([], "DegenerateView"), (["--kernel-width", "1"], "SingularSystem")],
     ids=["estimated-width", "given-width"],
 )
-def test_huge_finite_view_values_exit_3_with_one_json_line(tmp_path, capsys, width_args, error):
+def test_huge_finite_view_values_exit_3_with_one_json_line(
+    tmp_path, capsys, recwarn, width_args, error
+):
     # finite values whose squared distances overflow to inf and then NaN
     ds = generate_synthetic(60, 2, 2, [4, 5], noise=0.1, seed=0)
     ds.views[1] *= 1e200
@@ -223,6 +227,8 @@ def test_huge_finite_view_values_exit_3_with_one_json_line(tmp_path, capsys, wid
     lines = stderr.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == error
+    # pytest captures warnings, so stderr alone would not show numpy's lines
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 # One CSV view, one bin view and a labels file, as the property test below

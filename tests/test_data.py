@@ -207,6 +207,20 @@ def test_built_non_finite_view_is_rejected():
 
 
 @pytest.mark.parametrize(
+    "views, error",
+    [
+        ([np.ones((2, 40)), np.ones((3, 41))], "view 1 has 41 samples"),
+        ([np.ones((2, 40)), np.ones(40)], "view 1 is not a matrix"),
+        ([], "at least one view"),
+    ],
+    ids=["sample-counts-differ", "one-dimensional-view", "no-views"],
+)
+def test_built_dataset_with_bad_view_shapes_is_rejected(views, error):
+    with pytest.raises(ValidationError, match=error):  # DimensionMismatch is one
+        MultiViewDataset(views=views)
+
+
+@pytest.mark.parametrize(
     "manifest",
     [
         [1, 2],

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +77,16 @@ def test_zscore_constant_column_uses_template():
     np.testing.assert_array_equal(out[:, 0], out[:, 2])  # same deterministic template
     template = out[:, 0]
     assert template[0] > 0 > template[1]  # alternating signs
+    # a constant column whose mean does not round exactly: std is 0, centered is not
+    mat = np.full((3, 2), 0.1)
+    mat[:, 1] = np.arange(3)
+    centered = mat - mat.mean(axis=0)
+    assert centered[:, 0].any() and centered[:, 0].std(ddof=1) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = zscore_normalize_columns(mat)
+    np.testing.assert_array_equal(out[:, 0], zscore_normalize_columns(np.zeros((3, 1)))[:, 0])
+    assert column_stats_ok(out, tol=1e-12)
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 8])
