@@ -5,7 +5,7 @@ Pipeline stages, all importable on their own:
 * :mod:`mvtc.anchors` -- shared anchor selection and RBF anchor graphs
 * :mod:`mvtc.tensor_ops` -- mode-3 tensor algebra and low-frequency truncation
 * :mod:`mvtc.solver` -- alternating closed-form embedding optimization
-* :mod:`mvtc.clustering` -- k-means with a hard indicator matrix
+* :mod:`mvtc.clustering` -- k-means with one hard label per sample
 * :mod:`mvtc.metrics` -- the seven clustering agreement scores
 * :mod:`mvtc.pipeline` -- end-to-end runs with JSON reports
 """

@@ -1,4 +1,4 @@
-"""K-means on embedding columns with a hard binary indicator matrix.
+"""K-means on embedding columns, returning one hard label per column.
 
 Points are the N columns of a K x N matrix.  Initialization is
 distance-weighted seeding: with ``rng = numpy.random.default_rng(seed)``
@@ -26,9 +26,8 @@ __all__ = ["ClusterModel", "kmeans_fit", "assign_labels"]
 @dataclass
 class ClusterModel:
     centers: np.ndarray             # (K, C), column c is the center of cluster c
-    indicator: np.ndarray           # (C, N) binary, exactly one 1 per column
-    labels: np.ndarray              # (N,) ints, argmax over the indicator columns
-    inertia: float                  # ||points - centers @ indicator||_F^2
+    labels: np.ndarray              # (N,) ints in 0..C-1, every cluster populated
+    inertia: float                  # ||points - centers[:, labels]||_F^2
     inertia_trace: list[float] = field(default_factory=list)
     n_iter: int = 0
 
@@ -56,26 +55,21 @@ def kmeans_fit(
     labels = assign_labels(x, centers)
     centers, labels = _reseed_empty(x, centers, labels, n_clusters)
     trace = [_inertia(x, centers, labels)]
-    it = 0
     for _ in range(max_iters):
         centers = _cluster_means(x, labels, n_clusters)
         new_labels = assign_labels(x, centers)
         centers, new_labels = _reseed_empty(x, centers, new_labels, n_clusters)
         trace.append(_inertia(x, centers, new_labels))
-        it += 1
         stable = np.array_equal(new_labels, labels)
         labels = new_labels
         if stable:
             break
-    indicator = np.zeros((n_clusters, n), dtype=np.int64)
-    indicator[labels, np.arange(n)] = 1
     return ClusterModel(
         centers=centers,
-        indicator=indicator,
         labels=labels,
         inertia=trace[-1],
         inertia_trace=trace,
-        n_iter=it,
+        n_iter=len(trace) - 1,
     )
 
 

@@ -125,12 +125,13 @@ def generate_synthetic(
 
 def save_dataset(dataset: MultiViewDataset, out_dir, fmt: str = "csv") -> Path:
     """Write views, labels, and a manifest into ``out_dir``; returns the manifest path."""
+    if fmt not in ("csv", "bin"):
+        raise ValidationError(f"unknown matrix format '{fmt}'")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ext = {"csv": "csv", "bin": "bin"}[fmt]
     entries = []
     for i, view in enumerate(dataset.views):
-        rel = f"view_{i}.{ext}"
+        rel = f"view_{i}.{fmt}"
         write_matrix(out_dir / rel, view, fmt=fmt, orientation="features")
         entries.append({"path": rel, "format": fmt, "orientation": "features"})
     manifest: dict = {"name": dataset.name, "views": entries}

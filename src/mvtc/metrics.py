@@ -1,4 +1,4 @@
-"""Clustering agreement scores computed from a shared contingency table.
+"""Clustering agreement scores, each computed from a contingency table.
 
 All seven scores are invariant under relabeling of either argument.  Pair
 counts and the optimal-assignment accuracy are evaluated in exact integer
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import EmptyInput, LengthMismatch, ValidationError
+from .errors import EmptyInput, LengthMismatch
 
 __all__ = [
     "ContingencyTable",
@@ -68,22 +68,13 @@ def accuracy(pred, truth) -> float:
     return int(padded[rows, cols].sum()) / t.n
 
 
-_NMI_NORMALIZATIONS = ("sqrt", "min", "max", "mean")
+def nmi(pred, truth) -> float:
+    """Mutual information normalized by the geometric mean of the entropies.
 
-
-def nmi(pred, truth, normalization: str = "sqrt") -> float:
-    """Mutual information normalized by a symmetric mean of the entropies.
-
-    Natural logarithms; ``normalization`` picks the denominator among
-    ``sqrt`` (geometric mean, the default), ``min``, ``max``, and ``mean``.
-    Identical partitions (including the all-one-cluster case) score 1.0;
-    if exactly one side has zero entropy the partitions differ and the
-    score is 0.0.
+    Natural logarithms.  Identical partitions (including the all-one-cluster
+    case) score 1.0; if exactly one side has zero entropy the partitions
+    differ and the score is 0.0.
     """
-    if normalization not in _NMI_NORMALIZATIONS:
-        raise ValidationError(
-            f"normalization must be one of {_NMI_NORMALIZATIONS}, got '{normalization}'"
-        )
     t = contingency_table(pred, truth)
     if _is_identical_partition(t):
         return 1.0
@@ -95,13 +86,7 @@ def nmi(pred, truth, normalization: str = "sqrt") -> float:
     for i, j in zip(*np.nonzero(t.counts)):
         p = t.counts[i, j] / t.n
         info += p * np.log(p * t.n * t.n / (t.row_sums[i] * t.col_sums[j]))
-    denom = {
-        "sqrt": np.sqrt(h_pred * h_true),
-        "min": min(h_pred, h_true),
-        "max": max(h_pred, h_true),
-        "mean": 0.5 * (h_pred + h_true),
-    }[normalization]
-    return float(np.clip(info / denom, 0.0, 1.0))
+    return float(np.clip(info / np.sqrt(h_pred * h_true), 0.0, 1.0))
 
 
 def purity(pred, truth) -> float:

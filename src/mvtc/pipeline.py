@@ -13,7 +13,7 @@ import ctypes
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -79,7 +79,7 @@ class RunReport:
     versions: dict
 
     def to_dict(self) -> dict:
-        out = dict(asdict(self))
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         if self.metrics is None:
             del out["metrics"]
         return out

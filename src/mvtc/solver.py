@@ -104,11 +104,6 @@ def stack_views(embeddings: list[np.ndarray]) -> np.ndarray:
     return np.stack(embeddings, axis=1)
 
 
-def unstack_view(tensor: np.ndarray, v: int) -> np.ndarray:
-    """Inverse of :func:`stack_views` for a single view: (K, V, N) -> (K, N)."""
-    return tensor[:, v, :]
-
-
 def update_projection(
     embedding: np.ndarray,
     graph: np.ndarray,
@@ -132,12 +127,14 @@ def update_projection(
     if not np.isfinite(system).all():
         raise SingularSystem("ridge system has a non-finite entry")
     rhs = b @ phi.T
-    rhs_norm = np.linalg.norm(rhs)
+    with np.errstate(over="ignore"):  # an overflowing norm surfaces as a NaN residual
+        rhs_norm = np.linalg.norm(rhs)
 
     def residual(u: np.ndarray) -> float:
         if rhs_norm == 0.0:
             return 0.0
-        return float(np.linalg.norm(u @ system - rhs) / rhs_norm)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.linalg.norm(u @ system - rhs) / rhs_norm)
 
     try:
         u = cho_solve(cho_factor(system), rhs.T).T

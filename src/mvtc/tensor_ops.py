@@ -22,21 +22,6 @@ from .errors import DimensionMismatch, InvalidLowFrequencyParameter, NonRealResu
 _IMAG_TOL = 1e-8
 
 
-def frontal_slice(t: np.ndarray, i3: int) -> np.ndarray:
-    """Frontal slice ``t[:, :, i3 - 1]`` using the 1-based depth convention."""
-    t = np.asarray(t)
-    if not 1 <= i3 <= t.shape[2]:
-        raise DimensionMismatch(f"slice index {i3} outside 1..{t.shape[2]}")
-    return t[:, :, i3 - 1]
-
-
-def identity_tensor(n: int, depth: int) -> np.ndarray:
-    """n x n x depth tensor acting as the unit of the slice-wise product."""
-    out = np.zeros((n, n, depth))
-    out[:, :, 0] = np.eye(n)
-    return out
-
-
 def fft_mode3(t: np.ndarray) -> np.ndarray:
     """Unnormalized forward DFT of every mode-3 tube; returns a complex array."""
     t = np.asarray(t, dtype=float)
@@ -74,7 +59,7 @@ def t_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise DimensionMismatch("t_product needs two 3-d arrays")
     if x.shape[1] != y.shape[0] or x.shape[2] != y.shape[2]:
         raise DimensionMismatch(f"cannot multiply {x.shape} with {y.shape}")
-    zh = np.einsum("ijn,jkn->ikn", np.fft.fft(x, axis=2), np.fft.fft(y, axis=2))
+    zh = np.einsum("ijn,jkn->ikn", fft_mode3(x), fft_mode3(y))
     return ifft_mode3(zh)
 
 
@@ -96,11 +81,8 @@ def t_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     halves the work.  ``u`` (I1,I1,I3) and ``v`` (I2,I2,I3) are orthogonal
     under the slice-wise product, ``s`` (I1,I2,I3) has diagonal slices.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 3:
-        raise DimensionMismatch(f"expected a 3-d array, got shape {x.shape}")
-    i1, i2, i3 = x.shape
-    xh = np.fft.fft(x, axis=2)
+    xh = fft_mode3(x)
+    i1, i2, i3 = xh.shape
     uh = np.empty((i1, i1, i3), dtype=complex)
     sh = np.zeros((i1, i2, i3), dtype=complex)
     vh = np.empty((i2, i2, i3), dtype=complex)

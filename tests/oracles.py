@@ -40,6 +40,13 @@ def idft_mode3(s):
     return out
 
 
+def identity_tensor(n, depth):
+    """n x n x depth tensor: the identity in slice 0, zeros elsewhere."""
+    out = np.zeros((n, n, depth))
+    out[:, :, 0] = np.eye(n)
+    return out
+
+
 def block_circulant_product(x, y):
     """Slice-wise circular convolution via an explicit block-circulant matrix."""
     i1, i2, depth = x.shape

@@ -262,3 +262,11 @@ def test_save_then_load_round_trip(tmp_path, fmt):
     np.testing.assert_array_equal(back.labels, ds.labels)
     for va, vb in zip(ds.views, back.views):
         np.testing.assert_array_equal(vb, va)
+
+
+def test_save_rejects_unknown_format_before_writing(tmp_path):
+    ds = generate_synthetic(12, 3, 2, [4, 5], noise=0.3, seed=5)
+    out = tmp_path / "out"
+    with pytest.raises(ValidationError, match="unknown matrix format 'npy'"):
+        save_dataset(ds, out, fmt="npy")
+    assert not out.exists()

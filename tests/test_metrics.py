@@ -102,16 +102,6 @@ def test_nmi_independent_partitions_zero():
     assert nmi([0, 1, 0, 1], [0, 0, 1, 1]) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_nmi_normalization_variants():
-    pred = [0, 0, 1, 1, 1, 1]
-    truth = [0, 0, 0, 1, 1, 1]
-    values = {v: nmi(pred, truth, normalization=v) for v in ("min", "sqrt", "mean", "max")}
-    # denominators grow min <= sqrt <= mean <= max, so scores shrink that way
-    assert values["min"] >= values["sqrt"] >= values["mean"] >= values["max"] > 0
-    with pytest.raises(Exception):
-        nmi(pred, truth, normalization="median")
-
-
 def test_nmi_hand_computed_value():
     pred = [0, 0, 1, 1, 1, 1]
     truth = [0, 0, 0, 1, 1, 1]

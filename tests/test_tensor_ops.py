@@ -6,15 +6,13 @@ from hypothesis import strategies as st
 from mvtc.errors import DimensionMismatch, NonRealResult
 from mvtc.tensor_ops import (
     fft_mode3,
-    frontal_slice,
-    identity_tensor,
     ifft_mode3,
     t_product,
     t_svd,
     t_transpose,
 )
 
-from oracles import block_circulant_product, dft_mode3
+from oracles import block_circulant_product, dft_mode3, identity_tensor
 
 
 def random_tensor(shape, seed):
@@ -168,6 +166,11 @@ def test_t_svd_zero_tensor():
     np.testing.assert_allclose(rec, 0.0, atol=1e-12)
 
 
+def test_t_svd_rejects_a_matrix():
+    with pytest.raises(DimensionMismatch, match=r"expected a 3-d array, got shape \(3, 4\)"):
+        t_svd(np.zeros((3, 4)))
+
+
 def test_t_svd_depth_one_matches_matrix_svd():
     x = random_tensor((4, 3, 1), seed=21)
     u, s, v = t_svd(x)
@@ -202,17 +205,3 @@ def test_t_svd_factors_orthogonal_and_f_diagonal():
         off = s[:, :, n].copy()
         np.fill_diagonal(off, 0.0)
         np.testing.assert_allclose(off, 0.0, atol=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# misc helpers
-
-
-def test_frontal_slice_one_based():
-    x = random_tensor((2, 3, 4), seed=30)
-    np.testing.assert_array_equal(frontal_slice(x, 1), x[:, :, 0])
-    np.testing.assert_array_equal(frontal_slice(x, 4), x[:, :, 3])
-    with pytest.raises(DimensionMismatch):
-        frontal_slice(x, 5)
-    with pytest.raises(DimensionMismatch):
-        frontal_slice(x, 0)
