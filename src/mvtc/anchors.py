@@ -24,6 +24,13 @@ from .errors import DegenerateView, DimensionMismatch, TooManyAnchors, Validatio
 # Kernel-width estimation averages at most this many (sample, anchor) pairs.
 PAIR_CAP = 100_000
 
+# Columns per block of the graph build.  A power of two, so that OpenBLAS
+# splits each block's columns as it splits the unblocked product's and the
+# graph keeps its bits.  (Products under about 1e6 multiply-adds, such as
+# D * M < 500, go to a small-matrix kernel that can round the last N mod 16
+# columns differently.)
+GRAPH_BLOCK = 2048
+
 
 @dataclass
 class AnchorSet:
@@ -50,11 +57,24 @@ def sample_norm_order(views: list[np.ndarray]) -> np.ndarray:
     return np.argsort(norms, kind="stable")
 
 
-def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distances between columns of a (D,M) and b (D,N) -> (M,N), clipped at 0."""
-    aa = np.einsum("dm,dm->m", a, a)
-    bb = np.einsum("dn,dn->n", b, b)
-    d2 = aa[:, None] + bb[None, :] - 2.0 * (a.T @ b)
+def sqdist(
+    a: np.ndarray,
+    b: np.ndarray,
+    *,
+    sums: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Squared distances between columns of a (D,M) and b (D,N) -> (M,N), clipped at 0.
+
+    ``sums`` is the (M, N) matrix of squared-norm sums ``|a_m|^2 + |b_n|^2``,
+    formed here when not given; it is only read.  ``out`` receives the
+    result.  Computed as ``sums - 2 a^T b``.
+    """
+    if sums is None:
+        sums = np.add.outer(np.einsum("dm,dm->m", a, a), np.einsum("dn,dn->n", b, b))
+    d2 = np.matmul(a.T, b, out=out)
+    d2 *= -2.0
+    d2 += sums  # bit-equal to sums - 2.0 * (a.T @ b)
     return np.maximum(d2, 0.0, out=d2)
 
 
@@ -78,8 +98,13 @@ def estimate_kernel_width(view: np.ndarray, anchors: np.ndarray, seed: int = 0) 
             rng = np.random.default_rng(seed)
             si = rng.integers(n, size=PAIR_CAP)
             ai = rng.integers(m, size=PAIR_CAP)
-            diff = view[:, si] - anchors[:, ai]
-            sigma = float(np.einsum("dp,dp->p", diff, diff).mean())
+            # gather in sample order (a near-sequential read of the view),
+            # then put the distances back in draw order for the mean
+            by_sample = np.argsort(si)
+            diff = view[:, si[by_sample]] - anchors[:, ai[by_sample]]
+            d2 = np.empty(PAIR_CAP)
+            d2[by_sample] = np.einsum("dp,dp->p", diff, diff)
+            sigma = float(d2.mean())
     if not 0.0 < sigma < np.inf:
         raise DegenerateView(f"sampled squared distances average {sigma}, not a usable width")
     return sigma
@@ -89,12 +114,14 @@ def build_anchor_graph(view: np.ndarray, anchors: np.ndarray, sigma: float) -> n
     """M x N graph with entries exp(-||x_n - z_m||^2 / sigma), in (0, 1].
 
     Entries equal 1 exactly when the sample coincides with the anchor.  The
-    Gram expansion in :func:`sqdist` leaves rounding dust there, so the two
-    squared-norm vectors are computed again here, and every distance below
-    1e-11 of their sum is redone as an explicit sum of squared differences,
-    which is exact for identical columns.  Features whose squared norms
-    overflow select no entry and leave a non-finite graph, which the solver
-    rejects.
+    Gram expansion in :func:`sqdist` leaves rounding dust there, so every
+    distance below 1e-11 of its squared-norm sum is redone as an explicit
+    sum of squared differences, which is exact for identical columns.
+    Features whose squared norms overflow select no entry and leave a
+    non-finite graph, which the solver rejects.
+
+    The graph is built ``GRAPH_BLOCK`` columns at a time, so beyond the
+    output only two buffers of at most 1.5 blocks are held.
     """
     if not 0 < sigma < np.inf:
         raise ValidationError(f"kernel width must be positive and finite, got {sigma}")
@@ -104,17 +131,30 @@ def build_anchor_graph(view: np.ndarray, anchors: np.ndarray, sigma: float) -> n
         raise DimensionMismatch(
             f"view has {view.shape[0]} features but anchors have {anchors.shape[0]}"
         )
+    m, n = anchors.shape[1], view.shape[1]
+    out = np.empty((m, n))
+    # the last block also takes a remainder under half a block: BLAS splits a
+    # product's columns by its width, and a narrow last product would round
+    # its columns differently from the unblocked one
+    bounds = [*range(0, max(n - GRAPH_BLOCK // 2, 1), GRAPH_BLOCK), n]
+    widest = max(b - a for a, b in zip(bounds, bounds[1:]))
+    # flat buffers, so that a narrower block is still a contiguous (m, w) array
+    sums_buf, d2_buf = np.empty(m * widest), np.empty(m * widest)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected downstream
-        d2 = sqdist(anchors, view)
-        threshold = np.add.outer(
-            np.einsum("dm,dm->m", anchors, anchors), np.einsum("dn,dn->n", view, view)
-        )
-        threshold *= 1e-11
-        mi, ni = np.nonzero(d2 < threshold)  # strict: an inf or NaN threshold selects nothing
-        diff = view[:, ni] - anchors[:, mi]
-        d2[mi, ni] = np.einsum("dp,dp->p", diff, diff)
-        np.divide(d2, -sigma, out=d2)  # bit-equal to -d2 / sigma
-        return np.exp(d2, out=d2)
+        aa = np.einsum("dm,dm->m", anchors, anchors)
+        bb = np.einsum("dn,dn->n", view, view)
+        for start, stop in zip(bounds, bounds[1:]):
+            block = view[:, start:stop]
+            size, shape = m * (stop - start), (m, stop - start)
+            sums = np.add.outer(aa, bb[start:stop], out=sums_buf[:size].reshape(shape))
+            d2 = sqdist(anchors, block, sums=sums, out=d2_buf[:size].reshape(shape))
+            sums *= 1e-11  # the dust threshold
+            mi, ni = np.nonzero(d2 < sums)  # strict: an inf or NaN threshold selects nothing
+            diff = block[:, ni] - anchors[:, mi]
+            d2[mi, ni] = np.einsum("dp,dp->p", diff, diff)
+            np.divide(d2, -sigma, out=d2)  # bit-equal to -d2 / sigma
+            out[:, start:stop] = np.exp(d2, out=d2)
+    return out
 
 
 def select_anchors(

@@ -124,9 +124,7 @@ def _cmd_run(args) -> int:
         threads=threads,
         **settings,
     )
-    report = run_pipeline(dataset, config, out_path=args.out)
-    print(report.to_json(), end="")
-    return 0
+    return _print_json(run_pipeline(dataset, config).to_dict(), args.out)
 
 
 def _cmd_metrics(args) -> int:

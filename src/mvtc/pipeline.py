@@ -122,6 +122,8 @@ def _cluster(dataset: MultiViewDataset, config: PipelineConfig, out_path) -> Run
     views = [np.ascontiguousarray(v[:, order]) for v in dataset.views]
     anchor_set = select_anchors(views, n_anchors, config.seed, kernel_width=config.kernel_width)
     graphs = build_all_graphs(views, anchor_set)
+    kernel_widths = anchor_set.sigma_per_view
+    del views, anchor_set  # from here on the graphs are the only large arrays
     graph_build_s = time.perf_counter() - t0
 
     solver_cfg = SolverConfig(
@@ -169,7 +171,7 @@ def _cluster(dataset: MultiViewDataset, config: PipelineConfig, out_path) -> Run
             "max_iters": int(config.max_iters),
             "early_stop_tol": config.early_stop_tol,
             "restarts": int(config.restarts),
-            "kernel_width_per_view": [float(s) for s in anchor_set.sigma_per_view],
+            "kernel_width_per_view": [float(s) for s in kernel_widths],
             "no_isc": bool(config.no_isc),
             "no_igs": bool(config.no_igs),
         },
@@ -221,9 +223,10 @@ def solver_scale_bench(
     measurement isolates the solver; per-iteration time is the best of
     ``repeats`` full solves divided by the iteration count, after one
     discarded warmup solve (BLAS pools, allocator, and CPU clocks need a
-    run to settle).  The solves take :class:`SolverConfig`'s default
-    ``lam``, ``beta`` and ``low_freq``.  Consecutive ratios ~2 for doubled
-    N confirm the expected linear scaling.
+    run to settle).  Each repeat solves every sample count once, in turn.
+    The solves take :class:`SolverConfig`'s default ``lam``, ``beta`` and
+    ``low_freq``.  Consecutive ratios ~2 for doubled N confirm the expected
+    linear scaling.
 
     The solves run on one BLAS thread: a threaded pool adds a per-call
     cost that does not grow with N and varies on a busy host.
@@ -239,23 +242,26 @@ def solver_scale_bench(
         state = solver_run(graphs, cfg)
         return state, time.perf_counter() - t0
 
-    runs = []
     with _thread_cap(1):
-        solve(make_graphs(min(n_values)))  # warmup, discarded
-        for n in n_values:
-            graphs = make_graphs(n)
-            best, state = None, None
-            for _ in range(max(1, repeats)):
-                state, elapsed = solve(graphs)
-                best = elapsed if best is None else min(best, elapsed)
-            runs.append(
-                {
-                    "n_samples": int(n),
-                    "iterations": int(state.iterations),
-                    "solve_s": best,
-                    "per_iteration_s": best / state.iterations,
-                }
-            )
+        graphs = [make_graphs(n) for n in n_values]
+        solve(graphs[n_values.index(min(n_values))])  # warmup, discarded
+        best = [float("inf")] * len(n_values)
+        iterations = [0] * len(n_values)
+        # repeats outermost, so a drift in host speed reaches every count alike
+        for _ in range(max(1, repeats)):
+            for i, g in enumerate(graphs):
+                state, elapsed = solve(g)
+                best[i] = min(best[i], elapsed)
+                iterations[i] = state.iterations
+    runs = [
+        {
+            "n_samples": int(n),
+            "iterations": int(it),
+            "solve_s": t,
+            "per_iteration_s": t / it,
+        }
+        for n, it, t in zip(n_values, iterations, best)
+    ]
     ratios = [
         {
             "n_from": runs[i - 1]["n_samples"],

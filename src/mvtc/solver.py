@@ -187,8 +187,10 @@ def objective_value(state: SolverState, graphs: list[np.ndarray], cfg: SolverCon
         total += 0.5 * float(np.sum(fit * fit))
         gap = state.consensus - b
         total += 0.5 * cfg.beta * float(np.sum(gap * gap))
-    coupling = stack_views(state.embeddings) - state.lowfreq_tensor
-    total += 0.5 * float(np.sum(coupling * coupling))
+    coupling = stack_views(state.embeddings)
+    coupling -= state.lowfreq_tensor
+    coupling *= coupling  # squared in place: the same sum, one K x V x N array fewer
+    total += 0.5 * float(np.sum(coupling))
     return total
 
 
@@ -234,12 +236,14 @@ def run(
     trace: list[float] = []
     state = SolverState(projections, embeddings, consensus, lowfreq, 0, trace)
     for t in range(cfg.max_iters):
-        previous_consensus = consensus
+        del state  # the last snapshot would keep last iteration's arrays alive
+        previous_consensus = consensus if cfg.early_stop_tol > 0 else None
         for v, g in enumerate(graphs):
             projections[v] = update_projection(embeddings[v], g, cfg.lam, grams[v])
             embeddings[v] = update_embedding(
                 projections[v], g, consensus, lowfreq[:, v, :], cfg.beta
             )
+        del lowfreq  # release the old tensor before building the new one
         if cfg.smooth_embeddings:
             lowfreq = update_lowfreq(embeddings, cfg.low_freq)
         else:

@@ -47,6 +47,24 @@ def identity_tensor(n, depth):
     return out
 
 
+def anchor_graph_unblocked(view, anchors, sigma):
+    """RBF anchor graph from one full M x N Gram expansion.
+
+    Every entry below 1e-11 of its squared-norm sum is recomputed as an
+    explicit sum of squared differences, so coincident columns give exactly
+    1.  Overflowing norms leave non-finite entries without a warning.
+    """
+    aa = np.einsum("dm,dm->m", anchors, anchors)
+    bb = np.einsum("dn,dn->n", view, view)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.add.outer(aa, bb)
+        d2 = np.maximum(sums - 2.0 * (anchors.T @ view), 0.0)
+        mi, ni = np.nonzero(d2 < sums * 1e-11)
+        diff = view[:, ni] - anchors[:, mi]
+        d2[mi, ni] = np.einsum("dp,dp->p", diff, diff)
+        return np.exp(d2 / -sigma)
+
+
 def block_circulant_product(x, y):
     """Slice-wise circular convolution via an explicit block-circulant matrix."""
     i1, i2, depth = x.shape

@@ -1,10 +1,12 @@
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from mvtc.anchors import (
+    GRAPH_BLOCK,
     build_anchor_graph,
     build_all_graphs,
     estimate_kernel_width,
@@ -13,6 +15,8 @@ from mvtc.anchors import (
 )
 from mvtc.data import generate_synthetic
 from mvtc.errors import DegenerateView, DimensionMismatch, TooManyAnchors, ValidationError
+
+from oracles import anchor_graph_unblocked
 
 
 def two_view_data(n=10, seed=0):
@@ -202,6 +206,54 @@ def test_graph_of_overflowing_view_is_non_finite_quick_and_quiet():
     assert graph.shape == (500, 5000)
     assert not np.isfinite(graph).all()
     assert elapsed < 2.0
+
+
+# Widths below, equal to and above one block; above it, N is not a multiple
+# of the block, with a remainder both under half a block (folded into the
+# last block) and over it.  The shape keeps every block's product above the
+# small-matrix cutoff of the BLAS (see GRAPH_BLOCK), as with the default
+# 1000 anchors.
+@pytest.mark.parametrize(
+    "n", [GRAPH_BLOCK // 2 + 3, GRAPH_BLOCK, 3 * GRAPH_BLOCK + 37, 3 * GRAPH_BLOCK + 1500]
+)
+def test_blocked_graph_is_byte_equal_to_unblocked(n):
+    rng = np.random.default_rng(n)
+    view = rng.standard_normal((16, n))
+    anchors = view[:, rng.choice(n, 100, replace=False)].copy()
+    np.testing.assert_array_equal(
+        build_anchor_graph(view, anchors, 2.5), anchor_graph_unblocked(view, anchors, 2.5)
+    )
+    # noise-free clusters: every block holds exact-1 entries
+    ds = generate_synthetic(n, 4, 1, [16], noise=0.0, seed=n)
+    view = ds.views[0]
+    picks = rng.choice(n, 100, replace=False)
+    anchors = view[:, picks].copy()
+    graph = build_anchor_graph(view, anchors, 0.9)
+    assert graph.tobytes() == anchor_graph_unblocked(view, anchors, 0.9).tobytes()
+    assert (graph == 1.0).sum() == (ds.labels[picks][:, None] == ds.labels[None, :]).sum()
+    # overflowing norms: non-finite in the same places, and no warning
+    view, anchors = view * 1e200, anchors * 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        graph = build_anchor_graph(view, anchors, 1.0)
+    assert not np.isfinite(graph).all()
+    np.testing.assert_array_equal(graph, anchor_graph_unblocked(view, anchors, 1.0))
+
+
+def test_graph_build_holds_at_most_a_few_blocks_beyond_its_output():
+    m, n = 100, 8 * GRAPH_BLOCK + 300
+    rng = np.random.default_rng(5)
+    view = rng.standard_normal((16, n))
+    anchors = view[:, :m].copy()
+    tracemalloc.start()
+    try:
+        graph = build_anchor_graph(view, anchors, 2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    block_bytes = m * GRAPH_BLOCK * 8
+    extra = peak - graph.nbytes
+    assert extra < 3 * block_bytes, f"{extra / block_bytes:.2f} blocks beyond the graph"
 
 
 def test_cross_view_anchor_alignment():

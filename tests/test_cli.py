@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from mvtc import pipeline
 from mvtc.cli import main
 from mvtc.data import generate_synthetic, save_dataset
-from mvtc.pipeline import PRESETS
+from mvtc.pipeline import PRESETS, RunReport
 
 
 def run_cli(capsys, *argv):
@@ -46,6 +46,18 @@ def test_run_on_synthetic_writes_report(tmp_path, capsys):
     assert all(v >= 0 for v in report["timings"].values())
     for key in ("acc", "nmi", "purity", "fscore", "precision", "recall", "ari"):
         assert key in report["metrics"]
+
+
+def test_run_prints_the_bytes_it_writes(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code, stdout, _ = run_cli(
+        capsys, "run", "--synthetic", "n=90,c=3,v=2,dims=5:7,noise=0.1,seed=2",
+        "--anchors", "30", "--out", str(out),
+    )
+    assert code == 0
+    assert out.read_bytes() == stdout.encode("utf-8")
+    # the same layout as RunReport.to_json, which run_pipeline writes
+    assert RunReport(**json.loads(stdout)).to_json() == stdout
 
 
 def test_run_on_manifest_matches_synthetic(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -521,3 +522,19 @@ def test_run_smoothing_disabled_passes_tensor_through():
     cfg = SolverConfig(embed_dim=3, low_freq=3, smooth_embeddings=False, seed=5)
     state = run(graphs, cfg)
     np.testing.assert_array_equal(state.lowfreq_tensor, stack_views(state.embeddings))
+
+
+def test_run_holds_few_embedding_tensors_beyond_its_graphs():
+    # Live K x V x N data: the embeddings, the low-frequency tensor and the
+    # consensus; the truncation briefly adds the stack, its spectrum and
+    # the transform's output.  Last iteration's arrays must not stay alive.
+    k, n_views, n = 4, 3, 20_000
+    graphs = random_graphs(n_views, 40, n, seed=31)
+    tracemalloc.start()
+    try:
+        run(graphs, SolverConfig(embed_dim=k, low_freq=8, max_iters=4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tensor_bytes = k * n_views * n * 8
+    assert peak < 5 * tensor_bytes, f"{peak / tensor_bytes:.2f} K x V x N tensors"
