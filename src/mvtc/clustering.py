@@ -54,12 +54,13 @@ def kmeans_fit(
     centers = _weighted_seed(x, n_clusters, rng)
     labels = assign_labels(x, centers)
     centers, labels = _reseed_empty(x, centers, labels, n_clusters)
-    trace = [_inertia(x, centers, labels)]
+    buf = np.empty(x.shape)  # scratch for the inertia, C order like a gather
+    trace = [_inertia(x, centers, labels, buf)]
     for _ in range(max_iters):
         centers = _cluster_means(x, labels, n_clusters)
         new_labels = assign_labels(x, centers)
         centers, new_labels = _reseed_empty(x, centers, new_labels, n_clusters)
-        trace.append(_inertia(x, centers, new_labels))
+        trace.append(_inertia(x, centers, new_labels, buf))
         stable = np.array_equal(new_labels, labels)
         labels = new_labels
         if stable:
@@ -120,7 +121,11 @@ def _reseed_empty(
     return centers, labels
 
 
-def _inertia(x: np.ndarray, centers: np.ndarray, labels: np.ndarray) -> float:
-    diff = x - centers[:, labels]
-    return float(np.sum(diff * diff))
+def _inertia(x: np.ndarray, centers: np.ndarray, labels: np.ndarray, buf: np.ndarray) -> float:
+    """||x - centers[:, labels]||^2, computed in ``buf`` (same shape as ``x``)."""
+    # mode="clip" writes straight into buf ("raise" would buffer); labels are in range
+    np.take(centers, labels, axis=1, out=buf, mode="clip")
+    np.subtract(x, buf, out=buf)
+    np.square(buf, out=buf)
+    return float(np.sum(buf))
 

@@ -15,6 +15,14 @@ noise.  The smoothing term carries no weight: under the subspace-indicator
 reading of the smoothing penalty, the hard truncation is the exact
 minimizer whatever the weight, so no weight schedule is kept.
 
+Each iteration writes the V new embeddings straight into the slices of one
+freshly allocated (K, V, N) tensor, which the truncation and the objective's
+coupling term read as it is; a snapshot handed to a callback keeps its own
+tensor.  ``U_v phi_v`` is formed once per view and iteration: the embedding
+blend uses it, and the same buffer then yields the fit term
+||B_v - U_v phi_v||^2 for the objective.  The K x N arithmetic runs in place
+in the order of the plain expressions, so the results keep their bits.
+
 All randomness flows from ``SolverConfig.seed``; repeated runs are
 bit-identical.
 """
@@ -64,19 +72,27 @@ class SolverState:
     objective_trace: list[float] = field(default_factory=list)
 
 
-def zscore_normalize_columns(mat: np.ndarray) -> np.ndarray:
+def zscore_normalize_columns(mat: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     """Project every column onto mean 0 and sample standard deviation 1.
 
     Columns with zero variance cannot be projected; they are replaced by a
     fixed alternating-sign template (centered and scaled to the constraint
-    set) so the function is total and deterministic.
+    set) so the function is total and deterministic.  The result goes to
+    ``out`` when given (which may be ``mat`` itself), else to a new array.
     """
     mat = np.asarray(mat, dtype=float)
     k = mat.shape[0]
     if k < 2:
         raise EmbedDimTooSmall(f"need at least 2 rows to normalize, got {k}")
-    centered = mat - mat.mean(axis=0)
-    std = centered.std(axis=0, ddof=1)
+    # np.mean's and np.std(ddof=1)'s own steps, so the bits match
+    # ``centered = mat - mat.mean(0)`` and ``centered.std(0, ddof=1)``
+    centered = np.subtract(mat, np.add.reduce(mat, axis=0) / k, out=out)
+    deviation = centered - np.add.reduce(centered, axis=0) / k
+    np.square(deviation, out=deviation)
+    std = np.add.reduce(deviation, axis=0)
+    del deviation
+    std /= k - 1
+    np.sqrt(std, out=std)
     with np.errstate(divide="ignore", invalid="ignore"):  # zero-variance columns are patched below
         np.divide(centered, std, out=centered)
     dead = std == 0
@@ -156,40 +172,72 @@ def update_embedding(
     consensus: np.ndarray,
     lowfreq_slice: np.ndarray,
     beta: float,
+    *,
+    out: np.ndarray | None = None,
+    product: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Normalized affine blend (beta*Bc + Y_v + U phi) / (beta + 2)."""
-    raw = (beta * consensus + lowfreq_slice + projection @ graph) / (beta + 2.0)
-    return zscore_normalize_columns(raw)
+    """Normalized affine blend (beta*Bc + Y_v + U phi) / (beta + 2).
 
-
-def update_lowfreq(embeddings: list[np.ndarray], keep: int) -> np.ndarray:
-    """Low-frequency truncation of the stacked embedding tensor."""
-    return lowfreq_truncate(stack_views(embeddings), keep)
+    The result goes to ``out`` when given, else to a new array.  ``product``
+    is a K x N buffer that receives ``U phi`` and still holds it on return,
+    for the caller's fit term.
+    """
+    product = np.matmul(projection, graph, out=product)
+    out = np.multiply(beta, consensus, out=out)
+    out += lowfreq_slice
+    out += product
+    out /= beta + 2.0
+    return zscore_normalize_columns(out, out=out)
 
 
 def update_consensus(embeddings: list[np.ndarray]) -> np.ndarray:
     """Normalized mean of the per-view embeddings."""
-    mean = sum(embeddings) / len(embeddings)
-    return zscore_normalize_columns(mean)
+    mean = np.array(embeddings[0], dtype=float)
+    for e in embeddings[1:]:
+        mean += e
+    mean /= len(embeddings)
+    return zscore_normalize_columns(mean, out=mean)
 
 
-def objective_value(state: SolverState, graphs: list[np.ndarray], cfg: SolverConfig) -> float:
+def _squared_distance(a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> float:
+    """||a - b||^2 through ``scratch`` (which may be ``b``)."""
+    np.subtract(a, b, out=scratch)
+    np.square(scratch, out=scratch)
+    return float(np.sum(scratch))
+
+
+def objective_value(
+    state: SolverState,
+    graphs: list[np.ndarray],
+    cfg: SolverConfig,
+    *,
+    fits: list[float] | None = None,
+    stacked: np.ndarray | None = None,
+) -> float:
     """Sum of ridge, fit, consensus, and smoothing-coupling terms.
 
     The smoothing penalty itself scores 0 whenever the low-frequency
-    tensor is feasible (it always is after :func:`update_lowfreq`), so only
-    the quadratic coupling ||B - Y||^2 / 2 appears here.
+    tensor is feasible (it always is after :func:`lowfreq_truncate`), so
+    only the quadratic coupling ||B - Y||^2 / 2 appears here.  ``fits``
+    holds each view's ||B_v - U_v phi_v||^2 and ``stacked`` the (K, V, N)
+    tensor whose slices are ``state.embeddings``, when the caller has them;
+    either is formed here when omitted.
     """
+    scratch = np.empty(state.consensus.shape)  # each view's fit and gap in turn
     total = 0.0
-    for u, b, phi in zip(state.projections, state.embeddings, graphs):
+    for v, (u, b, phi) in enumerate(zip(state.projections, state.embeddings, graphs)):
         total += 0.5 * cfg.lam * float(np.sum(u * u))
-        fit = b - u @ phi
-        total += 0.5 * float(np.sum(fit * fit))
-        gap = state.consensus - b
-        total += 0.5 * cfg.beta * float(np.sum(gap * gap))
-    coupling = stack_views(state.embeddings)
-    coupling -= state.lowfreq_tensor
-    coupling *= coupling  # squared in place: the same sum, one K x V x N array fewer
+        if fits is None:
+            fit = _squared_distance(b, np.matmul(u, phi, out=scratch), scratch)
+        else:
+            fit = fits[v]
+        total += 0.5 * fit
+        total += 0.5 * cfg.beta * _squared_distance(state.consensus, b, scratch)
+    del scratch
+    if stacked is None:
+        stacked = stack_views(state.embeddings)
+    coupling = np.subtract(stacked, state.lowfreq_tensor)
+    np.square(coupling, out=coupling)  # the same sum, one K x V x N array fewer
     total += 0.5 * float(np.sum(coupling))
     return total
 
@@ -227,34 +275,40 @@ def run(
     n_views = len(graphs)
     rng = np.random.default_rng(cfg.seed)
     b0 = zscore_normalize_columns(rng.standard_normal((k, n)))
-    embeddings = [b0.copy() for _ in range(n_views)]
+    embeddings = [b0] * n_views  # never written in place: each entry is rebound
     consensus = update_consensus(embeddings)
     lowfreq = np.zeros((k, n_views, n))
     projections = [np.zeros((k, g.shape[0])) for g in graphs]
     grams = [g @ g.T for g in graphs]  # hoisted out of the loop on purpose
+    product = np.empty((k, n))  # U_v phi_v, then the fit residual, view by view
+    fits = [0.0] * n_views
 
     trace: list[float] = []
     state = SolverState(projections, embeddings, consensus, lowfreq, 0, trace)
     for t in range(cfg.max_iters):
         del state  # the last snapshot would keep last iteration's arrays alive
         previous_consensus = consensus if cfg.early_stop_tol > 0 else None
+        # fresh every iteration: a snapshot a callback keeps must not change
+        stacked = np.empty((k, n_views, n))
         for v, g in enumerate(graphs):
             projections[v] = update_projection(embeddings[v], g, cfg.lam, grams[v])
             embeddings[v] = update_embedding(
-                projections[v], g, consensus, lowfreq[:, v, :], cfg.beta
+                projections[v], g, consensus, lowfreq[:, v, :], cfg.beta,
+                out=stacked[:, v, :], product=product,
             )
+            fits[v] = _squared_distance(embeddings[v], product, product)
         del lowfreq  # release the old tensor before building the new one
         if cfg.smooth_embeddings:
-            lowfreq = update_lowfreq(embeddings, cfg.low_freq)
+            lowfreq = lowfreq_truncate(stacked, cfg.low_freq)
         else:
-            lowfreq = stack_views(embeddings)
+            lowfreq = stacked
         consensus = update_consensus(embeddings)
         # shallow list copies: later iterations rebind entries, and callback
         # holders expect a consistent per-iteration snapshot
         state = SolverState(
             list(projections), list(embeddings), consensus, lowfreq, t + 1, trace
         )
-        trace.append(objective_value(state, graphs, cfg))
+        trace.append(objective_value(state, graphs, cfg, fits=fits, stacked=stacked))
         if callback is not None:
             callback(state)
         if cfg.early_stop_tol > 0:

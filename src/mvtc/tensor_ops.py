@@ -112,7 +112,7 @@ def lowfreq_truncate(b: np.ndarray, keep: int) -> np.ndarray:
     """Orthogonal projection onto the lowest ``keep`` mode-3 frequencies.
 
     Keeps the DC slice plus spectrum slices 2..keep together with their
-    conjugate partners (slices N+2-keep..N, 1-based), zeroes everything
+    conjugate partners (slices N+2-keep..N, 1-based), drops everything
     else, and inverts.  The real-input transform stores only slices
     1..floor(N/2)+1, so the partners follow by symmetry and the result is
     real by construction.
@@ -125,9 +125,10 @@ def lowfreq_truncate(b: np.ndarray, keep: int) -> np.ndarray:
         raise DimensionMismatch(f"expected a 3-d array, got shape {b.shape}")
     n = b.shape[2]
     check_low_freq(n, keep)
-    bh = np.fft.rfft(b, axis=2)
-    bh[:, :, keep:] = 0.0
-    return np.fft.irfft(bh, n=n, axis=2)
+    # irfft zero-pads the kept bins to the full half-spectrum, which gives
+    # the bits of zeroing bins keep: in place; the full spectrum is released
+    # before the inverse allocates its output
+    return np.fft.irfft(np.fft.rfft(b, axis=2)[:, :, :keep].copy(), n=n, axis=2)
 
 
 def kept_slice_indices(depth: int, keep: int) -> np.ndarray:

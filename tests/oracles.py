@@ -2,10 +2,12 @@
 
 Everything here is written the slow, obvious way on purpose: direct
 summation DFTs, explicit block-circulant products, per-entry distance
-sums, exhaustive enumerations.  None of it shares code with the package.
+sums, exhaustive enumerations.  None of it shares code with the package,
+except that the frozen solver loop at the end calls the package's ridge step.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -143,3 +145,108 @@ def exhaustive_kmeans_optimum(points, n_clusters):
             total += float(np.sum((members - center) ** 2))
         best = min(best, total)
     return best
+
+
+# ---------------------------------------------------------------------------
+# The alternating solver loop as it stood before its in-place rewrite: every
+# K x N step allocates its result, the objective forms U_v phi_v again and
+# stacks the embeddings into a fresh copy.  The package's ``solver.run`` must
+# reproduce it bit for bit.  Only the ridge step, which the rewrite left
+# alone, is taken from the package.
+
+
+def _zscore_reference(mat):
+    mat = np.asarray(mat, dtype=float)
+    k = mat.shape[0]
+    centered = mat - mat.mean(axis=0)
+    std = centered.std(axis=0, ddof=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(centered, std, out=centered)
+    dead = std == 0
+    if dead.any():
+        t = np.ones(k)
+        t[1::2] = -1.0
+        t -= t.mean()
+        centered[:, dead] = (t / t.std(ddof=1))[:, None]
+    return centered
+
+
+def _embedding_reference(projection, graph, consensus, lowfreq_slice, beta):
+    raw = (beta * consensus + lowfreq_slice + projection @ graph) / (beta + 2.0)
+    return _zscore_reference(raw)
+
+
+def _lowfreq_reference(embeddings, keep):
+    b = np.stack(embeddings, axis=1)
+    bh = np.fft.rfft(b, axis=2)
+    bh[:, :, keep:] = 0.0
+    return np.fft.irfft(bh, n=b.shape[2], axis=2)
+
+
+def _consensus_reference(embeddings):
+    return _zscore_reference(sum(embeddings) / len(embeddings))
+
+
+def _objective_reference(projections, embeddings, consensus, lowfreq, graphs, lam, beta):
+    total = 0.0
+    for u, b, phi in zip(projections, embeddings, graphs):
+        total += 0.5 * lam * float(np.sum(u * u))
+        fit = b - u @ phi
+        total += 0.5 * float(np.sum(fit * fit))
+        gap = consensus - b
+        total += 0.5 * beta * float(np.sum(gap * gap))
+    coupling = np.stack(embeddings, axis=1)
+    coupling -= lowfreq
+    coupling *= coupling
+    total += 0.5 * float(np.sum(coupling))
+    return total
+
+
+def solver_run_reference(graphs, cfg):
+    """``solver.run`` (validation aside) before its in-place rewrite."""
+    from mvtc.solver import update_projection
+
+    graphs = [np.ascontiguousarray(g, dtype=float) for g in graphs]
+    n = graphs[0].shape[1]
+    k = cfg.embed_dim
+    n_views = len(graphs)
+    rng = np.random.default_rng(cfg.seed)
+    b0 = _zscore_reference(rng.standard_normal((k, n)))
+    embeddings = [b0.copy() for _ in range(n_views)]
+    consensus = _consensus_reference(embeddings)
+    lowfreq = np.zeros((k, n_views, n))
+    projections = [np.zeros((k, g.shape[0])) for g in graphs]
+    grams = [g @ g.T for g in graphs]
+
+    trace = []
+    iterations = 0
+    for t in range(cfg.max_iters):
+        previous_consensus = consensus
+        for v, g in enumerate(graphs):
+            projections[v] = update_projection(embeddings[v], g, cfg.lam, grams[v])
+            embeddings[v] = _embedding_reference(
+                projections[v], g, consensus, lowfreq[:, v, :], cfg.beta
+            )
+        if cfg.smooth_embeddings:
+            lowfreq = _lowfreq_reference(embeddings, cfg.low_freq)
+        else:
+            lowfreq = np.stack(embeddings, axis=1)
+        consensus = _consensus_reference(embeddings)
+        iterations = t + 1
+        trace.append(
+            _objective_reference(
+                projections, embeddings, consensus, lowfreq, graphs, cfg.lam, cfg.beta
+            )
+        )
+        if cfg.early_stop_tol > 0:
+            shift = np.linalg.norm(consensus - previous_consensus)
+            if shift / np.linalg.norm(previous_consensus) < cfg.early_stop_tol:
+                break
+    return SimpleNamespace(
+        projections=projections,
+        embeddings=embeddings,
+        consensus=consensus,
+        lowfreq_tensor=lowfreq,
+        iterations=iterations,
+        objective_trace=trace,
+    )

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,3 +102,25 @@ def test_kept_slice_indices_layout():
     np.testing.assert_array_equal(kept_slice_indices(8, 5), np.arange(8))
     np.testing.assert_array_equal(kept_slice_indices(9, 5), np.arange(9))
     np.testing.assert_array_equal(kept_slice_indices(9, 1), [0])
+
+
+@pytest.mark.parametrize("depth", [120, 121])
+@pytest.mark.parametrize("keep", [1, 2, 17, 60, 61])
+def test_inverting_only_the_kept_bins_matches_zeroing_the_rest(depth, keep):
+    b = random_tensor((3, 2, depth), seed=depth + keep)
+    spectrum = np.fft.rfft(b, axis=2)
+    spectrum[:, :, keep:] = 0.0
+    expected = np.fft.irfft(spectrum, n=depth, axis=2)
+    np.testing.assert_array_equal(lowfreq_truncate(b, keep), expected)
+
+
+def test_truncation_holds_little_beyond_its_input_and_output():
+    # only the kept bins of the spectrum outlive the forward transform
+    b = random_tensor((4, 3, 20_000), seed=9)
+    tracemalloc.start()
+    try:
+        out = lowfreq_truncate(b, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - out.nbytes) < 0.25 * b.nbytes, f"{peak / b.nbytes:.2f} input sizes"

@@ -21,13 +21,12 @@ from mvtc.solver import (
     stack_views,
     update_consensus,
     update_embedding,
-    update_lowfreq,
     update_projection,
     zscore_normalize_columns,
 )
-from mvtc.tensor_ops import fft_mode3, kept_slice_indices
+from mvtc.tensor_ops import fft_mode3, kept_slice_indices, lowfreq_truncate
 
-from oracles import lowfreq_truncate_bruteforce
+from oracles import lowfreq_truncate_bruteforce, solver_run_reference
 
 
 def random_graphs(n_views, m, n, seed):
@@ -260,14 +259,14 @@ def test_embedding_matches_two_step_oracle():
 def test_lowfreq_update_full_band_returns_stack():
     rng = np.random.default_rng(10)
     mats = [rng.standard_normal((2, 7)) for _ in range(3)]
-    out = update_lowfreq(mats, keep=4)  # (7+1)//2 == full band
+    out = lowfreq_truncate(stack_views(mats), keep=4)  # (7+1)//2 == full band
     np.testing.assert_allclose(out, stack_views(mats), atol=1e-12)
 
 
 def test_lowfreq_update_dc_only_gives_mean_slice():
     rng = np.random.default_rng(11)
     mats = [rng.standard_normal((2, 6)) for _ in range(2)]
-    out = update_lowfreq(mats, keep=1)
+    out = lowfreq_truncate(stack_views(mats), keep=1)
     mean_slice = stack_views(mats).mean(axis=2)
     for n in range(6):
         np.testing.assert_allclose(out[:, :, n], mean_slice, atol=1e-12)
@@ -277,7 +276,7 @@ def test_lowfreq_update_matches_bruteforce():
     rng = np.random.default_rng(12)
     mats = [rng.standard_normal((2, 6)) for _ in range(3)]
     expected = lowfreq_truncate_bruteforce(stack_views(mats), 2)
-    np.testing.assert_allclose(update_lowfreq(mats, 2), expected, atol=1e-12)
+    np.testing.assert_allclose(lowfreq_truncate(stack_views(mats), 2), expected, atol=1e-12)
 
 
 def test_consensus_of_identical_embeddings():
@@ -319,7 +318,7 @@ def make_state(graphs, cfg, seed=0):
     ]
     projections = [rng.standard_normal((k, g.shape[0])) for g in graphs]
     consensus = update_consensus(embeddings)
-    lowfreq = update_lowfreq(embeddings, cfg.low_freq)
+    lowfreq = lowfreq_truncate(stack_views(embeddings), cfg.low_freq)
     return SolverState(projections, embeddings, consensus, lowfreq, 0, [])
 
 
@@ -402,12 +401,13 @@ def test_each_update_does_not_increase_objective():
 
     # smoothing refresh is the exact feasible minimizer of the coupling
     stacked = stack_views(state.embeddings)
-    refreshed = update_lowfreq(state.embeddings, cfg.low_freq)
+    refreshed = lowfreq_truncate(stacked, cfg.low_freq)
     rng = np.random.default_rng(22)
     gap = np.linalg.norm(stacked - refreshed)
     for _ in range(5):
-        member = update_lowfreq(
-            [rng.standard_normal(b.shape) for b in state.embeddings], cfg.low_freq
+        member = lowfreq_truncate(
+            stack_views([rng.standard_normal(b.shape) for b in state.embeddings]),
+            cfg.low_freq,
         )
         assert gap <= np.linalg.norm(stacked - member) + 1e-10
 
@@ -446,6 +446,24 @@ def test_run_identical_graphs_stay_symmetric_across_views():
         for b in state.embeddings[1:]:
             np.testing.assert_allclose(b, state.embeddings[0], atol=1e-10)
         np.testing.assert_allclose(state.consensus, state.embeddings[0], atol=1e-10)
+
+
+def test_run_snapshots_keep_their_own_arrays():
+    # each iteration writes into fresh arrays, so a kept snapshot never
+    # changes under later iterations
+    graphs = random_graphs(3, 6, 16, seed=34)
+
+    def arrays(state):
+        return [*state.projections, *state.embeddings, state.consensus, state.lowfreq_tensor]
+
+    for smooth in (True, False):
+        kept = []
+        run(graphs, SolverConfig(embed_dim=4, low_freq=4, smooth_embeddings=smooth),
+            callback=lambda s: kept.append((s, [a.copy() for a in arrays(s)])))
+        assert [s.iterations for s, _ in kept] == list(range(1, 8))
+        for state, copies in kept:
+            for a, c in zip(arrays(state), copies, strict=True):
+                np.testing.assert_array_equal(a, c)
 
 
 def test_run_deterministic_under_seed():
@@ -538,3 +556,54 @@ def test_run_holds_few_embedding_tensors_beyond_its_graphs():
         tracemalloc.stop()
     tensor_bytes = k * n_views * n * 8
     assert peak < 5 * tensor_bytes, f"{peak / tensor_bytes:.2f} K x V x N tensors"
+
+
+def assert_states_identical(got, want):
+    assert got.iterations == want.iterations
+    assert got.objective_trace == want.objective_trace
+    np.testing.assert_array_equal(got.consensus, want.consensus)
+    np.testing.assert_array_equal(got.lowfreq_tensor, want.lowfreq_tensor)
+    for name in ("embeddings", "projections"):
+        mats, expected = getattr(got, name), getattr(want, name)
+        assert len(mats) == len(expected)
+        for a, b in zip(mats, expected):
+            np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "n_views, n, overrides",
+    [
+        (1, 31, {}),
+        (2, 40, {}),
+        (3, 57, {}),
+        (3, 40, {"low_freq": 1}),
+        (2, 57, {"low_freq": 57 // 2 + 1}),  # Nyquist band, odd N
+        (3, 40, {"low_freq": 40 // 2 + 1}),  # Nyquist band, even N
+        (3, 57, {"smooth_embeddings": False}),
+        (2, 40, {"beta": 0.0}),
+        (3, 40, {"early_stop_tol": 1e-3, "max_iters": 30}),
+    ],
+)
+def test_run_is_bit_identical_to_reference_loop(n_views, n, overrides):
+    graphs = random_graphs(n_views, 9, n, seed=32 + n_views + n)
+    params = {"embed_dim": 4, "lam": 0.2, "beta": 0.3, "low_freq": 5, "seed": 6}
+    cfg = SolverConfig(**{**params, **overrides})
+    got = run(graphs, cfg)
+    want = solver_run_reference(graphs, cfg)
+    if cfg.early_stop_tol > 0:
+        assert got.iterations < cfg.max_iters
+    assert_states_identical(got, want)
+
+
+def test_run_is_bit_identical_to_reference_loop_through_the_template():
+    # with beta=0, a zero graph column blends to a zero column in the first
+    # iteration (the low-frequency tensor starts at zero): the template path
+    graphs = random_graphs(3, 8, 30, seed=33)
+    for g in graphs:
+        g[:, 7] = 0.0
+    cfg = SolverConfig(embed_dim=4, lam=0.2, beta=0.0, low_freq=4, seed=8)
+    first = []
+    got = run(graphs, cfg, callback=lambda s: first.append(s.embeddings[0][:, 7].copy()))
+    template = zscore_normalize_columns(np.zeros((4, 1)))[:, 0]
+    np.testing.assert_array_equal(first[0], template)
+    assert_states_identical(got, solver_run_reference(graphs, cfg))
