@@ -21,15 +21,22 @@ import numpy as np
 from .data import check_views
 from .errors import DegenerateView, DimensionMismatch, TooManyAnchors, ValidationError
 
-# Kernel-width estimation averages at most this many (sample, anchor) pairs.
+# Kernel-width estimation averages at most this many (sample, anchor) pairs,
+# gathered this many at a time.
 PAIR_CAP = 100_000
+WIDTH_CHUNK = 4096
 
-# Columns per block of the graph build.  A power of two, so that OpenBLAS
-# splits each block's columns as it splits the unblocked product's and the
-# graph keeps its bits.  (Products under about 1e6 multiply-adds, such as
-# D * M < 500, go to a small-matrix kernel that can round the last N mod 16
-# columns differently.)
+# Columns per block of the graph build, at least.  Block widths are powers of
+# two, so that OpenBLAS splits each block's columns as it splits the unblocked
+# product's and the graph keeps its bits.  Products of up to about
+# SMALL_PRODUCT multiply-adds go to a small-matrix kernel that can round the
+# last N mod 16 columns differently, so the width doubles until even a
+# half-width block's product is larger (see graph_block_width).
 GRAPH_BLOCK = 2048
+SMALL_PRODUCT = 2**20
+
+# Entries per tile of the elementwise passes over a block's rows.
+GRAPH_TILE = 2**15
 
 
 @dataclass
@@ -57,22 +64,20 @@ def sample_norm_order(views: list[np.ndarray]) -> np.ndarray:
     return np.argsort(norms, kind="stable")
 
 
-def sqdist(
-    a: np.ndarray,
-    b: np.ndarray,
-    *,
-    sums: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared distances between columns of a (D,M) and b (D,N) -> (M,N), clipped at 0.
 
-    ``sums`` is the (M, N) matrix of squared-norm sums ``|a_m|^2 + |b_n|^2``,
-    formed here when not given; it is only read.  ``out`` receives the
-    result.  Computed as ``sums - 2 a^T b``.
+    Computed as ``|a_m|^2 + |b_n|^2 - 2 a^T b``.
     """
-    if sums is None:
-        sums = np.add.outer(np.einsum("dm,dm->m", a, a), np.einsum("dn,dn->n", b, b))
-    d2 = np.matmul(a.T, b, out=out)
+    sums = np.add.outer(np.einsum("dm,dm->m", a, a), np.einsum("dn,dn->n", b, b))
+    return _distances_from_product(a.T @ b, sums)
+
+
+def _distances_from_product(d2: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """Turn ``a^T b`` in ``d2`` into clipped squared distances, in place.
+
+    ``sums`` holds the matching squared-norm sums ``|a_m|^2 + |b_n|^2``.
+    """
     d2 *= -2.0
     d2 += sums  # bit-equal to sums - 2.0 * (a.T @ b)
     return np.maximum(d2, 0.0, out=d2)
@@ -99,29 +104,51 @@ def estimate_kernel_width(view: np.ndarray, anchors: np.ndarray, seed: int = 0) 
             si = rng.integers(n, size=PAIR_CAP)
             ai = rng.integers(m, size=PAIR_CAP)
             # gather in sample order (a near-sequential read of the view),
-            # then put the distances back in draw order for the mean
+            # WIDTH_CHUNK pairs at a time, and put the distances back in draw
+            # order for the mean
             by_sample = np.argsort(si)
-            diff = view[:, si[by_sample]] - anchors[:, ai[by_sample]]
+            si, ai = si[by_sample], ai[by_sample]
             d2 = np.empty(PAIR_CAP)
-            d2[by_sample] = np.einsum("dp,dp->p", diff, diff)
+            for lo in range(0, PAIR_CAP, WIDTH_CHUNK):
+                chunk = slice(lo, lo + WIDTH_CHUNK)
+                diff = view[:, si[chunk]]
+                diff -= anchors[:, ai[chunk]]
+                d2[by_sample[chunk]] = np.einsum("dp,dp->p", diff, diff)
             sigma = float(d2.mean())
     if not 0.0 < sigma < np.inf:
         raise DegenerateView(f"sampled squared distances average {sigma}, not a usable width")
     return sigma
 
 
+def graph_block_width(d: int, m: int, n: int) -> int:
+    """Columns per block of an M x N graph over D features.
+
+    The smallest power-of-two multiple of ``GRAPH_BLOCK`` for which a
+    half-width block's product (the narrowest block) has more than
+    ``SMALL_PRODUCT`` multiply-adds, or one block of all N columns when
+    none does below N: no block then goes to the small-matrix kernel unless
+    the unblocked product would.
+    """
+    width = GRAPH_BLOCK
+    while d * m * (width // 2) <= SMALL_PRODUCT and width < n:
+        width *= 2
+    return width
+
+
 def build_anchor_graph(view: np.ndarray, anchors: np.ndarray, sigma: float) -> np.ndarray:
     """M x N graph with entries exp(-||x_n - z_m||^2 / sigma), in (0, 1].
 
     Entries equal 1 exactly when the sample coincides with the anchor.  The
-    Gram expansion in :func:`sqdist` leaves rounding dust there, so every
-    distance below 1e-11 of its squared-norm sum is redone as an explicit
-    sum of squared differences, which is exact for identical columns.
-    Features whose squared norms overflow select no entry and leave a
-    non-finite graph, which the solver rejects.
+    Gram expansion leaves rounding dust there, so every distance below
+    1e-11 of its squared-norm sum is redone as an explicit sum of squared
+    differences, which is exact for identical columns.  Features whose
+    squared norms overflow select no entry and leave a non-finite graph,
+    which the solver rejects.
 
-    The graph is built ``GRAPH_BLOCK`` columns at a time, so beyond the
-    output only two buffers of at most 1.5 blocks are held.
+    Each block of columns (see :func:`graph_block_width`) has its product
+    ``anchors^T view`` written straight into its slice of the output, and
+    the elementwise passes then run over ``GRAPH_TILE``-entry row tiles of
+    that slice, in place.  Beyond the output, only two tile buffers are held.
     """
     if not 0 < sigma < np.inf:
         raise ValidationError(f"kernel width must be positive and finite, got {sigma}")
@@ -133,27 +160,37 @@ def build_anchor_graph(view: np.ndarray, anchors: np.ndarray, sigma: float) -> n
         )
     m, n = anchors.shape[1], view.shape[1]
     out = np.empty((m, n))
+    width = graph_block_width(view.shape[0], m, n)
     # the last block also takes a remainder under half a block: BLAS splits a
     # product's columns by its width, and a narrow last product would round
     # its columns differently from the unblocked one
-    bounds = [*range(0, max(n - GRAPH_BLOCK // 2, 1), GRAPH_BLOCK), n]
-    widest = max(b - a for a, b in zip(bounds, bounds[1:]))
-    # flat buffers, so that a narrower block is still a contiguous (m, w) array
-    sums_buf, d2_buf = np.empty(m * widest), np.empty(m * widest)
+    bounds = [*range(0, max(n - width // 2, 1), width), n]
+    widest = max(max(b - a for a, b in zip(bounds, bounds[1:])), 1)
+    rows = max(GRAPH_TILE // widest, 1)
+    # flat buffers, so that a narrower tile is still a contiguous array
+    sums_buf, dust_buf = np.empty(rows * widest), np.empty(rows * widest, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected downstream
         aa = np.einsum("dm,dm->m", anchors, anchors)
         bb = np.einsum("dn,dn->n", view, view)
         for start, stop in zip(bounds, bounds[1:]):
             block = view[:, start:stop]
-            size, shape = m * (stop - start), (m, stop - start)
-            sums = np.add.outer(aa, bb[start:stop], out=sums_buf[:size].reshape(shape))
-            d2 = sqdist(anchors, block, sums=sums, out=d2_buf[:size].reshape(shape))
-            sums *= 1e-11  # the dust threshold
-            mi, ni = np.nonzero(d2 < sums)  # strict: an inf or NaN threshold selects nothing
-            diff = block[:, ni] - anchors[:, mi]
-            d2[mi, ni] = np.einsum("dp,dp->p", diff, diff)
-            np.divide(d2, -sigma, out=d2)  # bit-equal to -d2 / sigma
-            out[:, start:stop] = np.exp(d2, out=d2)
+            product = np.matmul(anchors.T, block, out=out[:, start:stop])
+            for top in range(0, m, rows):
+                d2 = product[top:top + rows]
+                size, shape = d2.size, d2.shape
+                sums = np.add.outer(aa[top:top + rows], bb[start:stop],
+                                    out=sums_buf[:size].reshape(shape))
+                _distances_from_product(d2, sums)
+                sums *= 1e-11  # the dust threshold
+                # strict: an inf or NaN threshold selects nothing
+                dust = np.less(d2, sums, out=dust_buf[:size].reshape(shape))
+                hits = np.flatnonzero(dust)
+                if hits.size:
+                    mi, ni = np.divmod(hits, shape[1])
+                    diff = block[:, ni] - anchors[:, top + mi]
+                    d2[mi, ni] = np.einsum("dp,dp->p", diff, diff)
+                np.divide(d2, -sigma, out=d2)  # bit-equal to -d2 / sigma
+                np.exp(d2, out=d2)
     return out
 
 

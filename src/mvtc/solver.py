@@ -2,7 +2,8 @@
 
 Given one anchor graph per view, each iteration performs, in order:
 
-1. a ridge update of every view's projection matrix,
+1. a ridge update of every view's projection matrix (all V of them first,
+   each from its own view's previous embedding),
 2. a z-score-constrained refresh of every view's embedding,
 3. a low-frequency truncation of the stacked (K, V, N) embedding tensor,
 4. a consensus refresh (normalized mean of the embeddings).
@@ -15,13 +16,16 @@ noise.  The smoothing term carries no weight: under the subspace-indicator
 reading of the smoothing penalty, the hard truncation is the exact
 minimizer whatever the weight, so no weight schedule is kept.
 
-Each iteration writes the V new embeddings straight into the slices of one
-freshly allocated (K, V, N) tensor, which the truncation and the objective's
-coupling term read as it is; a snapshot handed to a callback keeps its own
-tensor.  ``U_v phi_v`` is formed once per view and iteration: the embedding
-blend uses it, and the same buffer then yields the fit term
-||B_v - U_v phi_v||^2 for the objective.  The K x N arithmetic runs in place
-in the order of the plain expressions, so the results keep their bits.
+Each view's ridge matrix phi_v phi_v^T + lam I is formed and checked once,
+before the loop.  Once the V projections are updated the previous
+embeddings are released, and the V new ones are written straight into the
+slices of one freshly allocated (K, V, N) tensor, which the truncation and
+the objective's coupling term read as it is; a snapshot handed to a
+callback keeps its own tensor.  ``U_v phi_v`` is formed once per view and
+iteration: the embedding blend uses it, and the same buffer then yields the
+fit term ||B_v - U_v phi_v||^2 for the objective and serves as its scratch.
+The K x N arithmetic runs in place in the order of the plain expressions,
+so the results keep their bits.
 
 All randomness flows from ``SolverConfig.seed``; repeated runs are
 bit-identical.
@@ -40,6 +44,9 @@ from .tensor_ops import check_low_freq, lowfreq_truncate
 
 # Acceptable relative residual of the ridge normal equations.
 _RIDGE_RESIDUAL_TOL = 1e-8
+
+# Columns per block of the z-score normalization.
+ZSCORE_BLOCK = 4096
 
 
 @dataclass
@@ -79,26 +86,37 @@ def zscore_normalize_columns(mat: np.ndarray, *, out: np.ndarray | None = None) 
     fixed alternating-sign template (centered and scaled to the constraint
     set) so the function is total and deterministic.  The result goes to
     ``out`` when given (which may be ``mat`` itself), else to a new array.
+    The columns are processed ``ZSCORE_BLOCK`` at a time.
     """
     mat = np.asarray(mat, dtype=float)
-    k = mat.shape[0]
+    if mat.ndim != 2:
+        raise ShapeMismatch(f"need a K x N matrix, got shape {mat.shape}")
+    k, n = mat.shape
     if k < 2:
         raise EmbedDimTooSmall(f"need at least 2 rows to normalize, got {k}")
-    # np.mean's and np.std(ddof=1)'s own steps, so the bits match
-    # ``centered = mat - mat.mean(0)`` and ``centered.std(0, ddof=1)``
-    centered = np.subtract(mat, np.add.reduce(mat, axis=0) / k, out=out)
-    deviation = centered - np.add.reduce(centered, axis=0) / k
-    np.square(deviation, out=deviation)
-    std = np.add.reduce(deviation, axis=0)
-    del deviation
-    std /= k - 1
-    np.sqrt(std, out=std)
-    with np.errstate(divide="ignore", invalid="ignore"):  # zero-variance columns are patched below
-        np.divide(centered, std, out=centered)
-    dead = std == 0
-    if dead.any():
-        centered[:, dead] = _unit_variance_template(k)[:, None]
-    return centered
+    if out is None:
+        out = np.empty((k, n))
+    deviation_buf = np.empty((k, min(n, ZSCORE_BLOCK)))
+    for lo in range(0, n, ZSCORE_BLOCK):
+        cols = slice(lo, lo + ZSCORE_BLOCK)
+        block = mat[:, cols]
+        # np.mean's and np.std(ddof=1)'s own steps, so the bits match
+        # ``centered = mat - mat.mean(0)`` and ``centered.std(0, ddof=1)``
+        centered = np.subtract(block, np.add.reduce(block, axis=0) / k, out=out[:, cols])
+        deviation = np.subtract(
+            centered, np.add.reduce(centered, axis=0) / k,
+            out=deviation_buf[:, :centered.shape[1]],
+        )
+        np.square(deviation, out=deviation)
+        std = np.add.reduce(deviation, axis=0)
+        std /= k - 1
+        np.sqrt(std, out=std)
+        with np.errstate(divide="ignore", invalid="ignore"):  # zero-variance columns are patched below
+            np.divide(centered, std, out=centered)
+        dead = std == 0
+        if dead.any():
+            centered[:, dead] = _unit_variance_template(k)[:, None]
+    return out
 
 
 def _unit_variance_template(k: int) -> np.ndarray:
@@ -120,28 +138,41 @@ def stack_views(embeddings: list[np.ndarray]) -> np.ndarray:
     return np.stack(embeddings, axis=1)
 
 
+def _add_ridge(gram: np.ndarray, lam: float) -> np.ndarray:
+    """The ridge matrix gram + lam I, formed in ``gram`` itself.
+
+    Adding ``lam`` to the diagonal gives the bits of ``gram + lam * I`` (the
+    Gram of a graph has no negative zeros).  Raises :class:`SingularSystem`
+    when the matrix is not finite.
+    """
+    gram.flat[:: gram.shape[0] + 1] += lam
+    if not np.isfinite(gram).all():
+        raise SingularSystem("ridge system has a non-finite entry")
+    return gram
+
+
 def update_projection(
     embedding: np.ndarray,
     graph: np.ndarray,
     lam: float,
     gram: np.ndarray | None = None,
+    *,
+    system: np.ndarray | None = None,
 ) -> np.ndarray:
     """Ridge solution U = (B phi^T)(phi phi^T + lam I)^-1.
 
-    ``gram`` is the precomputed M x M matrix phi phi^T (computed here when
-    omitted; pass it when calling repeatedly).  Solved via Cholesky; falls
-    back to the pseudo-inverse when the system is singular (lam = 0) and
-    raises :class:`SingularSystem` if even that leaves a relative residual
-    above 1e-8 (or a NaN one), or if the system is not finite.
+    ``system`` is the finite M x M matrix phi phi^T + lam I (pass it when
+    calling repeatedly), else it is formed here from ``gram``, the M x M
+    matrix phi phi^T (computed here when omitted too).  Solved via
+    Cholesky; falls back to the pseudo-inverse when the system is singular
+    (lam = 0) and raises :class:`SingularSystem` if even that leaves a
+    relative residual above 1e-8 (or a NaN one), or if the system it forms
+    is not finite.
     """
     b = np.asarray(embedding, dtype=float)
     phi = np.asarray(graph, dtype=float)
-    if gram is None:
-        gram = phi @ phi.T
-    m = gram.shape[0]
-    system = gram + lam * np.eye(m)
-    if not np.isfinite(system).all():
-        raise SingularSystem("ridge system has a non-finite entry")
+    if system is None:
+        system = _add_ridge(phi @ phi.T if gram is None else gram.copy(), lam)
     rhs = b @ phi.T
     with np.errstate(over="ignore"):  # an overflowing norm surfaces as a NaN residual
         rhs_norm = np.linalg.norm(rhs)
@@ -213,6 +244,7 @@ def objective_value(
     *,
     fits: list[float] | None = None,
     stacked: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> float:
     """Sum of ridge, fit, consensus, and smoothing-coupling terms.
 
@@ -221,9 +253,11 @@ def objective_value(
     only the quadratic coupling ||B - Y||^2 / 2 appears here.  ``fits``
     holds each view's ||B_v - U_v phi_v||^2 and ``stacked`` the (K, V, N)
     tensor whose slices are ``state.embeddings``, when the caller has them;
-    either is formed here when omitted.
+    either is formed here when omitted.  ``scratch`` is a K x N buffer for
+    each view's fit and gap in turn (allocated here when omitted).
     """
-    scratch = np.empty(state.consensus.shape)  # each view's fit and gap in turn
+    if scratch is None:
+        scratch = np.empty(state.consensus.shape)
     total = 0.0
     for v, (u, b, phi) in enumerate(zip(state.projections, state.embeddings, graphs)):
         total += 0.5 * cfg.lam * float(np.sum(u * u))
@@ -233,7 +267,6 @@ def objective_value(
             fit = fits[v]
         total += 0.5 * fit
         total += 0.5 * cfg.beta * _squared_distance(state.consensus, b, scratch)
-    del scratch
     if stacked is None:
         stacked = stack_views(state.embeddings)
     coupling = np.subtract(stacked, state.lowfreq_tensor)
@@ -272,14 +305,16 @@ def run(
     if cfg.smooth_embeddings:
         check_low_freq(n, cfg.low_freq)
 
+    # formed once, checked once: the loop only solves with them
+    systems = [_add_ridge(g @ g.T, cfg.lam) for g in graphs]
     n_views = len(graphs)
     rng = np.random.default_rng(cfg.seed)
     b0 = zscore_normalize_columns(rng.standard_normal((k, n)))
     embeddings = [b0] * n_views  # never written in place: each entry is rebound
     consensus = update_consensus(embeddings)
+    del b0  # the embeddings hold it until the first embedding update
     lowfreq = np.zeros((k, n_views, n))
     projections = [np.zeros((k, g.shape[0])) for g in graphs]
-    grams = [g @ g.T for g in graphs]  # hoisted out of the loop on purpose
     product = np.empty((k, n))  # U_v phi_v, then the fit residual, view by view
     fits = [0.0] * n_views
 
@@ -288,14 +323,19 @@ def run(
     for t in range(cfg.max_iters):
         del state  # the last snapshot would keep last iteration's arrays alive
         previous_consensus = consensus if cfg.early_stop_tol > 0 else None
+        # each projection reads only its own view's old embedding, so all of
+        # them can go first and the old embeddings be released before the
+        # new tensor exists (with smoothing off, lowfreq still holds them)
+        for v, g in enumerate(graphs):
+            projections[v] = update_projection(embeddings[v], g, cfg.lam, system=systems[v])
+        embeddings.clear()
         # fresh every iteration: a snapshot a callback keeps must not change
         stacked = np.empty((k, n_views, n))
         for v, g in enumerate(graphs):
-            projections[v] = update_projection(embeddings[v], g, cfg.lam, grams[v])
-            embeddings[v] = update_embedding(
+            embeddings.append(update_embedding(
                 projections[v], g, consensus, lowfreq[:, v, :], cfg.beta,
                 out=stacked[:, v, :], product=product,
-            )
+            ))
             fits[v] = _squared_distance(embeddings[v], product, product)
         del lowfreq  # release the old tensor before building the new one
         if cfg.smooth_embeddings:
@@ -303,12 +343,15 @@ def run(
         else:
             lowfreq = stacked
         consensus = update_consensus(embeddings)
-        # shallow list copies: later iterations rebind entries, and callback
+        # shallow list copies: later iterations refill the lists, and callback
         # holders expect a consistent per-iteration snapshot
         state = SolverState(
             list(projections), list(embeddings), consensus, lowfreq, t + 1, trace
         )
-        trace.append(objective_value(state, graphs, cfg, fits=fits, stacked=stacked))
+        trace.append(objective_value(
+            state, graphs, cfg, fits=fits, stacked=stacked, scratch=product
+        ))
+        del stacked  # the embeddings hold it until the next projections
         if callback is not None:
             callback(state)
         if cfg.early_stop_tol > 0:

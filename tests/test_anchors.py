@@ -10,11 +10,13 @@ from mvtc.anchors import (
     build_anchor_graph,
     build_all_graphs,
     estimate_kernel_width,
+    graph_block_width,
     select_anchor_indices,
     select_anchors,
 )
 from mvtc.data import generate_synthetic
 from mvtc.errors import DegenerateView, DimensionMismatch, TooManyAnchors, ValidationError
+from mvtc.pipeline import _thread_cap
 
 from oracles import anchor_graph_unblocked
 
@@ -210,23 +212,36 @@ def test_graph_of_overflowing_view_is_non_finite_quick_and_quiet():
 
 # Widths below, equal to and above one block; above it, N is not a multiple
 # of the block, with a remainder both under half a block (folded into the
-# last block) and over it.  The shape keeps every block's product above the
-# small-matrix cutoff of the BLAS (see GRAPH_BLOCK), as with the default
-# 1000 anchors.
+# last block) and over it.  With 16 features and 100 anchors every block's
+# product is above the small-matrix cutoff of the BLAS (see GRAPH_BLOCK), as
+# with the default 1000 anchors; the two smaller shapes are below it at
+# GRAPH_BLOCK columns, so their blocks are widened.
 @pytest.mark.parametrize(
-    "n", [GRAPH_BLOCK // 2 + 3, GRAPH_BLOCK, 3 * GRAPH_BLOCK + 37, 3 * GRAPH_BLOCK + 1500]
+    "d, m, n",
+    [
+        pytest.param(16, 100, n, id=str(n))
+        for n in (GRAPH_BLOCK // 2 + 3, GRAPH_BLOCK, 3 * GRAPH_BLOCK + 37, 3 * GRAPH_BLOCK + 1500)
+    ]
+    + [(16, 30, 3100), (5, 20, 10007)],
 )
-def test_blocked_graph_is_byte_equal_to_unblocked(n):
+def test_blocked_graph_is_byte_equal_to_unblocked(d, m, n):
+    # OpenBLAS splits a product differently on one thread than on several
+    for threads in (None, 1):
+        with _thread_cap(threads):
+            assert_blocked_graph_is_byte_equal_to_unblocked(d, m, n)
+
+
+def assert_blocked_graph_is_byte_equal_to_unblocked(d, m, n):
     rng = np.random.default_rng(n)
-    view = rng.standard_normal((16, n))
-    anchors = view[:, rng.choice(n, 100, replace=False)].copy()
+    view = rng.standard_normal((d, n))
+    anchors = view[:, rng.choice(n, m, replace=False)].copy()
     np.testing.assert_array_equal(
         build_anchor_graph(view, anchors, 2.5), anchor_graph_unblocked(view, anchors, 2.5)
     )
     # noise-free clusters: every block holds exact-1 entries
-    ds = generate_synthetic(n, 4, 1, [16], noise=0.0, seed=n)
+    ds = generate_synthetic(n, 4, 1, [d], noise=0.0, seed=n)
     view = ds.views[0]
-    picks = rng.choice(n, 100, replace=False)
+    picks = rng.choice(n, m, replace=False)
     anchors = view[:, picks].copy()
     graph = build_anchor_graph(view, anchors, 0.9)
     assert graph.tobytes() == anchor_graph_unblocked(view, anchors, 0.9).tobytes()
@@ -254,6 +269,46 @@ def test_graph_build_holds_at_most_a_few_blocks_beyond_its_output():
     block_bytes = m * GRAPH_BLOCK * 8
     extra = peak - graph.nbytes
     assert extra < 3 * block_bytes, f"{extra / block_bytes:.2f} blocks beyond the graph"
+
+
+def traced_peak(fn):
+    """(fn(), the peak of the memory traced while it ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_graph_build_holds_under_half_a_block_beyond_its_output():
+    # the product goes straight into the output; the elementwise passes use
+    # two tile buffers
+    m, n = 100, 8 * GRAPH_BLOCK + 300
+    view = np.random.default_rng(5).standard_normal((16, n))
+    anchors = view[:, :m].copy()
+    graph, peak = traced_peak(lambda: build_anchor_graph(view, anchors, 2.0))
+    block_bytes = m * GRAPH_BLOCK * 8
+    extra = peak - graph.nbytes
+    assert extra < 0.5 * block_bytes, f"{extra / block_bytes:.2f} blocks beyond the graph"
+
+
+def test_block_width_widens_only_small_products():
+    for d, m in [(64, 1000), (96, 1000), (16, 100), (32, 300)]:  # the benchmark's shapes
+        assert graph_block_width(d, m, 120_000) == GRAPH_BLOCK
+    assert graph_block_width(16, 30, 3100) >= 3100  # one block
+    width = graph_block_width(5, 20, 10**6)
+    assert 5 * 20 * width // 2 > 2**20 >= 5 * 20 * width // 4
+
+
+def test_width_estimate_holds_less_than_one_view():
+    # the sampled pairs are gathered a chunk at a time
+    rng = np.random.default_rng(6)
+    view = rng.standard_normal((96, 20_000))
+    anchors = view[:, rng.choice(20_000, 1000, replace=False)].copy()
+    _, peak = traced_peak(lambda: estimate_kernel_width(view, anchors, seed=1))
+    assert peak < view.nbytes, f"{peak / 1e6:.1f} MB for a {view.nbytes / 1e6:.1f} MB view"
 
 
 def test_cross_view_anchor_alignment():

@@ -14,6 +14,7 @@ from mvtc.errors import (
     ValidationError,
 )
 from mvtc.solver import (
+    ZSCORE_BLOCK,
     SolverConfig,
     SolverState,
     objective_value,
@@ -26,7 +27,7 @@ from mvtc.solver import (
 )
 from mvtc.tensor_ops import fft_mode3, kept_slice_indices, lowfreq_truncate
 
-from oracles import lowfreq_truncate_bruteforce, solver_run_reference
+from oracles import _zscore_reference, lowfreq_truncate_bruteforce, solver_run_reference
 
 
 def random_graphs(n_views, m, n, seed):
@@ -104,6 +105,19 @@ def test_zscore_rejects_single_row():
 def test_zscore_columns_always_in_constraint_set(k, n, seed):
     mat = np.random.default_rng(seed).standard_normal((k, n)) * 7 - 2
     assert column_stats_ok(zscore_normalize_columns(mat), tol=1e-10)
+
+
+def test_zscore_blocks_are_bit_equal_to_whole_matrix_statistics():
+    # several column blocks and a short last one, read through a strided
+    # view as the solver does, with a zero-variance column in a later block
+    k, n = 5, 2 * ZSCORE_BLOCK + 37
+    tensor = np.random.default_rng(2).standard_normal((k, 3, n)) * 3 + 1
+    tensor[:, 1, ZSCORE_BLOCK + 5] = 0.25
+    mat = tensor[:, 1, :]
+    want = _zscore_reference(mat)
+    np.testing.assert_array_equal(zscore_normalize_columns(mat), want)
+    zscore_normalize_columns(mat, out=mat)
+    np.testing.assert_array_equal(mat, want)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +221,25 @@ def test_projection_nan_residual_raises_singular_system(recwarn):
     b = 1e200 * rng.standard_normal((3, 8))
     with pytest.raises(SingularSystem):
         update_projection(b, rng.random((4, 8)), lam=0.1)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.0])
+def test_projection_with_formed_system_is_bit_equal(lam):
+    # lam = 0 with a rank-1 graph takes the pseudo-inverse path
+    rng = np.random.default_rng(10)
+    b = rng.standard_normal((3, 12))
+    phi = rng.random((5, 12)) if lam else np.outer(np.ones(5), np.linspace(1.0, 2.0, 12))
+    gram = phi @ phi.T
+    got = update_projection(b, phi, lam, system=gram + lam * np.eye(5))
+    np.testing.assert_array_equal(got, update_projection(b, phi, lam, gram))
+
+
+def test_run_with_nan_graph_raises_singular_system_quietly(recwarn):
+    graphs = random_graphs(3, 6, 40, seed=11)
+    graphs[1][2, 7] = np.nan
+    with pytest.raises(SingularSystem):
+        run(graphs, SolverConfig(embed_dim=3, low_freq=4))
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
@@ -556,6 +589,21 @@ def test_run_holds_few_embedding_tensors_beyond_its_graphs():
         tracemalloc.stop()
     tensor_bytes = k * n_views * n * 8
     assert peak < 5 * tensor_bytes, f"{peak / tensor_bytes:.2f} K x V x N tensors"
+
+
+def test_run_holds_under_four_embedding_tensors_beyond_its_graphs():
+    # all projections go first, so the previous embedding tensor is released
+    # before the next one is allocated
+    k, n_views, n = 4, 3, 20_000
+    graphs = random_graphs(n_views, 40, n, seed=31)
+    tracemalloc.start()
+    try:
+        run(graphs, SolverConfig(embed_dim=k, low_freq=8, max_iters=4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tensor_bytes = k * n_views * n * 8
+    assert peak < 4 * tensor_bytes, f"{peak / tensor_bytes:.2f} K x V x N tensors"
 
 
 def assert_states_identical(got, want):
