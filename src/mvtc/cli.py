@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: ``run`` (full pipeline on a manifest or synthetic dataset),
-``metrics`` (score two label files), ``gen-synthetic`` (write a synthetic
-dataset to disk), ``bench`` (solver scaling sweep).  Exit codes: 0 on
-success, 2 on validation errors, 3 on numerical failures; errors print one
-machine-parsable JSON line to stderr.
+``metrics`` (score two label files) and ``gen-synthetic`` (write a
+synthetic dataset to disk).  Exit codes: 0 on success, 2 on validation
+errors, 3 on numerical failures; errors print one machine-parsable JSON
+line to stderr.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 from .data import generate_synthetic, load_dataset, load_labels, save_dataset
 from .errors import NumericalError, ValidationError
 from .metrics import clustering_scores
-from .pipeline import PRESETS, PipelineConfig, run_pipeline, solver_scale_bench
+from .pipeline import PRESETS, PipelineConfig, run_pipeline
 
 
 def main(argv=None) -> int:
@@ -85,16 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen_p.add_argument("--out", required=True, help="output directory")
     gen_p.set_defaults(handler=_cmd_gen)
 
-    bench_p = sub.add_parser("bench", help="solver scaling sweep over sample counts")
-    bench_p.add_argument("--scale-sweep", default="10000,20000", help="comma-separated sample counts")
-    bench_p.add_argument("--anchors", type=int, default=None)
-    bench_p.add_argument("--embed-dim", type=int, default=None)
-    bench_p.add_argument("--views", type=int, default=None)
-    bench_p.add_argument("--iters", type=int, default=None)
-    bench_p.add_argument("--seed", type=int, default=None)
-    bench_p.add_argument("--repeats", type=int, default=None, help="timed solves per sample count, best kept")
-    bench_p.add_argument("--out", default=None, help="write the JSON timings here")
-    bench_p.set_defaults(handler=_cmd_bench)
     return parser
 
 
@@ -151,20 +141,6 @@ def _cmd_gen(args) -> int:
     manifest = save_dataset(dataset, args.out, fmt=args.format)
     print(str(manifest))
     return 0
-
-
-def _cmd_bench(args) -> int:
-    try:
-        n_values = [int(tok) for tok in args.scale_sweep.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ValidationError(f"bad --scale-sweep value: {exc}") from exc
-    if not n_values:
-        raise ValidationError("--scale-sweep needs at least one sample count")
-    result = solver_scale_bench(n_values, **_given(
-        n_anchors=args.anchors, embed_dim=args.embed_dim, n_views=args.views,
-        iters=args.iters, seed=args.seed, repeats=args.repeats,
-    ))
-    return _print_json(result, args.out)
 
 
 def _print_json(result: dict, out) -> int:

@@ -105,27 +105,15 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig, out_path=Non
 def _cluster(dataset: MultiViewDataset, config: PipelineConfig, out_path) -> RunReport:
     t_total = time.perf_counter()
     n = dataset.n_samples
-    n_clusters = config.n_clusters or dataset.n_clusters
-    if not n_clusters:
+    n_clusters = config.n_clusters if config.n_clusters is not None else dataset.n_clusters
+    if n_clusters is None:
         raise ValidationError("cluster count unknown: set it in the config or manifest")
-    embed_dim = config.embed_dim or n_clusters
-    if embed_dim < 2:
-        raise ValidationError(
-            f"embedding dimension must be at least 2, got {embed_dim}; set embed_dim"
-        )
+    if n_clusters < 1:
+        raise ValidationError(f"cluster count must be at least 1, got {n_clusters}")
+    embed_dim = config.embed_dim if config.embed_dim is not None else n_clusters
     n_anchors = config.n_anchors if config.n_anchors is not None else min(DEFAULT_ANCHORS, n)
     if config.restarts < 1:
         raise ValidationError("restarts must be at least 1")
-
-    t0 = time.perf_counter()
-    order = sample_norm_order(dataset.views)
-    views = [np.ascontiguousarray(v[:, order]) for v in dataset.views]
-    anchor_set = select_anchors(views, n_anchors, config.seed, kernel_width=config.kernel_width)
-    graphs = build_all_graphs(views, anchor_set)
-    kernel_widths = anchor_set.sigma_per_view
-    del views, anchor_set  # from here on the graphs are the only large arrays
-    graph_build_s = time.perf_counter() - t0
-
     solver_cfg = SolverConfig(
         embed_dim=embed_dim,
         lam=config.lam,
@@ -136,6 +124,16 @@ def _cluster(dataset: MultiViewDataset, config: PipelineConfig, out_path) -> Run
         early_stop_tol=config.early_stop_tol,
         smooth_embeddings=not config.no_igs,
     )
+
+    t0 = time.perf_counter()
+    order = sample_norm_order(dataset.views)
+    views = [np.ascontiguousarray(v[:, order]) for v in dataset.views]
+    anchor_set = select_anchors(views, n_anchors, config.seed, kernel_width=config.kernel_width)
+    graphs = build_all_graphs(views, anchor_set)
+    kernel_widths = anchor_set.sigma_per_view
+    del views, anchor_set  # from here on the graphs are the only large arrays
+    graph_build_s = time.perf_counter() - t0
+
     t0 = time.perf_counter()
     state = solver_run(graphs, solver_cfg)
     solve_s = time.perf_counter() - t0
@@ -208,29 +206,23 @@ def _best_kmeans(state: SolverState, n_clusters: int, config: PipelineConfig) ->
     return best
 
 
-def solver_scale_bench(
-    n_values: list[int],
-    n_anchors: int = 200,
-    embed_dim: int = 10,
-    n_views: int = 3,
-    iters: int = 3,
-    seed: int = 0,
-    repeats: int = 2,
-) -> dict:
+def solver_scale_bench(n_values: list[int]) -> dict:
     """Per-iteration solver wall-clock across sample counts.
 
     Anchor graphs are synthesized directly (entries in (0, 1]) so the
-    measurement isolates the solver; per-iteration time is the best of
-    ``repeats`` full solves divided by the iteration count, after one
-    discarded warmup solve (BLAS pools, allocator, and CPU clocks need a
-    run to settle).  Each repeat solves every sample count once, in turn.
-    The solves take :class:`SolverConfig`'s default ``lam``, ``beta`` and
-    ``low_freq``.  Consecutive ratios ~2 for doubled N confirm the expected
-    linear scaling.
+    measurement isolates the solver: 3 views of 200 anchors each, a
+    10-dimensional embedding and 3 iterations, all from seed 0.
+    Per-iteration time is the best of 3 full solves divided by the
+    iteration count, after one discarded warmup solve (BLAS pools,
+    allocator, and CPU clocks need a run to settle).  Each repeat solves
+    every sample count once, in turn.  The solves take
+    :class:`SolverConfig`'s default ``lam``, ``beta`` and ``low_freq``.
+    Consecutive ratios ~2 for doubled N confirm the expected linear scaling.
 
     The solves run on one BLAS thread: a threaded pool adds a per-call
     cost that does not grow with N and varies on a busy host.
     """
+    n_anchors, embed_dim, n_views, iters, seed, repeats = 200, 10, 3, 3, 0, 3
 
     def make_graphs(n: int) -> list[np.ndarray]:
         rng = np.random.default_rng(seed)
@@ -248,7 +240,7 @@ def solver_scale_bench(
         best = [float("inf")] * len(n_values)
         iterations = [0] * len(n_values)
         # repeats outermost, so a drift in host speed reaches every count alike
-        for _ in range(max(1, repeats)):
+        for _ in range(repeats):
             for i, g in enumerate(graphs):
                 state, elapsed = solve(g)
                 best[i] = min(best[i], elapsed)

@@ -54,7 +54,10 @@ class SolverConfig:
     """Hyperparameters of the alternating solver.
 
     ``early_stop_tol = 0`` (the default) disables the convergence guard and
-    always runs the full ``max_iters`` iterations.
+    always runs the full ``max_iters`` iterations.  The settings are checked
+    here, before any work: ``embed_dim`` at least 2, ``lam``, ``beta`` and
+    ``early_stop_tol`` finite and non-negative, ``max_iters`` an integer
+    >= 0.  ``low_freq`` depends on N, so :func:`run` checks it.
     """
 
     embed_dim: int
@@ -65,6 +68,18 @@ class SolverConfig:
     seed: int = 0
     early_stop_tol: float = 0.0
     smooth_embeddings: bool = True  # False: step 3 passes the stacked tensor through
+
+    def __post_init__(self):
+        if self.embed_dim < 2:
+            raise EmbedDimTooSmall(f"embed_dim must be at least 2, got {self.embed_dim}")
+        for name in ("lam", "beta", "early_stop_tol"):
+            value = getattr(self, name)
+            if not 0 <= value < float("inf"):  # NaN fails both comparisons
+                raise ValidationError(f"{name} must be finite and non-negative, got {value}")
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 0:
+            raise ValidationError(
+                f"max_iters must be a non-negative integer, got {self.max_iters!r}"
+            )
 
 
 @dataclass
@@ -138,44 +153,40 @@ def stack_views(embeddings: list[np.ndarray]) -> np.ndarray:
     return np.stack(embeddings, axis=1)
 
 
-def _add_ridge(gram: np.ndarray, lam: float) -> np.ndarray:
-    """The ridge matrix gram + lam I, formed in ``gram`` itself.
+def ridge_system(graph: np.ndarray, lam: float) -> np.ndarray:
+    """The ridge matrix phi phi^T + lam I of an M x N anchor graph.
 
-    Adding ``lam`` to the diagonal gives the bits of ``gram + lam * I`` (the
-    Gram of a graph has no negative zeros).  Raises :class:`SingularSystem`
-    when the matrix is not finite.
+    ``lam`` is added to the diagonal of the Gram in place, which gives the
+    bits of ``phi @ phi.T + lam * I`` (the Gram of a graph has no negative
+    zeros).
+    Raises :class:`SingularSystem` when the matrix is not finite.
     """
-    gram.flat[:: gram.shape[0] + 1] += lam
-    if not np.isfinite(gram).all():
+    phi = np.asarray(graph, dtype=float)
+    system = phi @ phi.T
+    system.flat[:: system.shape[0] + 1] += lam
+    if not np.isfinite(system).all():
         raise SingularSystem("ridge system has a non-finite entry")
-    return gram
+    return system
 
 
 def update_projection(
-    embedding: np.ndarray,
-    graph: np.ndarray,
-    lam: float,
-    gram: np.ndarray | None = None,
-    *,
-    system: np.ndarray | None = None,
+    embedding: np.ndarray, graph: np.ndarray, system: np.ndarray
 ) -> np.ndarray:
     """Ridge solution U = (B phi^T)(phi phi^T + lam I)^-1.
 
-    ``system`` is the finite M x M matrix phi phi^T + lam I (pass it when
-    calling repeatedly), else it is formed here from ``gram``, the M x M
-    matrix phi phi^T (computed here when omitted too).  Solved via
-    Cholesky; falls back to the pseudo-inverse when the system is singular
-    (lam = 0) and raises :class:`SingularSystem` if even that leaves a
-    relative residual above 1e-8 (or a NaN one), or if the system it forms
-    is not finite.
+    ``system`` is the matrix phi phi^T + lam I from :func:`ridge_system`.
+    Solved via Cholesky; falls back to the pseudo-inverse when the system
+    is singular (lam = 0) and raises :class:`SingularSystem` if even that
+    leaves a relative residual above 1e-8 (or a NaN one), or if B phi^T
+    has a non-finite norm.
     """
     b = np.asarray(embedding, dtype=float)
     phi = np.asarray(graph, dtype=float)
-    if system is None:
-        system = _add_ridge(phi @ phi.T if gram is None else gram.copy(), lam)
     rhs = b @ phi.T
-    with np.errstate(over="ignore"):  # an overflowing norm surfaces as a NaN residual
+    with np.errstate(over="ignore"):  # an overflowing norm is caught just below
         rhs_norm = np.linalg.norm(rhs)
+    if not np.isfinite(rhs_norm):
+        raise SingularSystem("right-hand side of the ridge system has a non-finite norm")
 
     def residual(u: np.ndarray) -> float:
         if rhs_norm == 0.0:
@@ -296,8 +307,6 @@ def run(
         if g.ndim != 2 or g.shape[1] != n:
             raise ShapeMismatch(f"graph {i} has shape {g.shape}, expected (*, {n})")
     k = cfg.embed_dim
-    if k < 2:
-        raise EmbedDimTooSmall(f"embed_dim must be at least 2, got {k}")
     if any(k > g.shape[0] for g in graphs):
         raise ValidationError(
             f"embed_dim {k} exceeds the anchor count of at least one view"
@@ -306,7 +315,7 @@ def run(
         check_low_freq(n, cfg.low_freq)
 
     # formed once, checked once: the loop only solves with them
-    systems = [_add_ridge(g @ g.T, cfg.lam) for g in graphs]
+    systems = [ridge_system(g, cfg.lam) for g in graphs]
     n_views = len(graphs)
     rng = np.random.default_rng(cfg.seed)
     b0 = zscore_normalize_columns(rng.standard_normal((k, n)))
@@ -327,7 +336,7 @@ def run(
         # them can go first and the old embeddings be released before the
         # new tensor exists (with smoothing off, lowfreq still holds them)
         for v, g in enumerate(graphs):
-            projections[v] = update_projection(embeddings[v], g, cfg.lam, system=systems[v])
+            projections[v] = update_projection(embeddings[v], g, systems[v])
         embeddings.clear()
         # fresh every iteration: a snapshot a callback keeps must not change
         stacked = np.empty((k, n_views, n))

@@ -204,7 +204,7 @@ def _objective_reference(projections, embeddings, consensus, lowfreq, graphs, la
 
 def solver_run_reference(graphs, cfg):
     """``solver.run`` (validation aside) before its in-place rewrite."""
-    from mvtc.solver import update_projection
+    from mvtc.solver import ridge_system, update_projection
 
     graphs = [np.ascontiguousarray(g, dtype=float) for g in graphs]
     n = graphs[0].shape[1]
@@ -216,14 +216,14 @@ def solver_run_reference(graphs, cfg):
     consensus = _consensus_reference(embeddings)
     lowfreq = np.zeros((k, n_views, n))
     projections = [np.zeros((k, g.shape[0])) for g in graphs]
-    grams = [g @ g.T for g in graphs]
+    systems = [ridge_system(g, cfg.lam) for g in graphs]
 
     trace = []
     iterations = 0
     for t in range(cfg.max_iters):
         previous_consensus = consensus
         for v, g in enumerate(graphs):
-            projections[v] = update_projection(embeddings[v], g, cfg.lam, grams[v])
+            projections[v] = update_projection(embeddings[v], g, systems[v])
             embeddings[v] = _embedding_reference(
                 projections[v], g, consensus, lowfreq[:, v, :], cfg.beta
             )

@@ -18,6 +18,7 @@ from mvtc.solver import (
     SolverConfig,
     SolverState,
     objective_value,
+    ridge_system,
     run,
     stack_views,
     update_consensus,
@@ -161,7 +162,7 @@ def test_stack_shape_mismatch():
 def test_projection_identity_graph_returns_embedding():
     rng = np.random.default_rng(3)
     b = rng.standard_normal((3, 5))
-    u = update_projection(b, np.eye(5), lam=0.0)
+    u = update_projection(b, np.eye(5), ridge_system(np.eye(5), 0.0))
     np.testing.assert_array_equal(u, b)
 
 
@@ -169,7 +170,7 @@ def test_projection_huge_ridge_shrinks_to_zero():
     rng = np.random.default_rng(4)
     b = rng.standard_normal((3, 8))
     phi = rng.random((4, 8))
-    u = update_projection(b, phi, lam=1e12)
+    u = update_projection(b, phi, ridge_system(phi, 1e12))
     assert np.linalg.norm(u) <= 1e-6
 
 
@@ -179,7 +180,9 @@ def test_projection_matches_dense_inverse_oracle():
     phi = rng.random((4, 8))
     lam = 0.5
     expected = (b @ phi.T) @ np.linalg.inv(phi @ phi.T + lam * np.eye(4))
-    got = update_projection(b, phi, lam)
+    system = ridge_system(phi, lam)
+    np.testing.assert_array_equal(system, phi @ phi.T + lam * np.eye(4))  # same bits
+    got = update_projection(b, phi, system)
     np.testing.assert_allclose(got, expected, rtol=1e-9, atol=1e-9)
 
 
@@ -188,7 +191,7 @@ def test_projection_normal_equation_residual():
     b = rng.standard_normal((4, 20))
     phi = rng.random((6, 20))
     lam = 0.01
-    u = update_projection(b, phi, lam)
+    u = update_projection(b, phi, ridge_system(phi, lam))
     system = phi @ phi.T + lam * np.eye(6)
     rhs = b @ phi.T
     rel = np.linalg.norm(u @ system - rhs) / np.linalg.norm(rhs)
@@ -199,7 +202,7 @@ def test_projection_singular_gram_falls_back_to_pinv():
     # rank-1 graph with lam=0: Cholesky fails, pseudo-inverse must serve
     phi = np.outer(np.ones(3), np.linspace(1.0, 2.0, 6))
     b = np.vstack([np.linspace(1.0, 2.0, 6), np.linspace(2.0, 4.0, 6)])
-    u = update_projection(b, phi, lam=0.0)
+    u = update_projection(b, phi, ridge_system(phi, 0.0))
     system = phi @ phi.T
     rhs = b @ phi.T
     rel = np.linalg.norm(u @ system - rhs) / np.linalg.norm(rhs)
@@ -211,28 +214,29 @@ def test_projection_non_finite_system_raises_singular_system():
     phi = rng.random((4, 8))
     phi[1, 2] = np.nan
     with pytest.raises(SingularSystem):
-        update_projection(rng.standard_normal((3, 8)), phi, lam=0.1)
+        ridge_system(phi, 0.1)
 
 
 def test_projection_nan_residual_raises_singular_system(recwarn):
-    # finite inputs whose residual norms overflow: inf / inf is NaN, and a
-    # NaN residual must not pass as a success, nor print numpy warnings
+    # finite inputs whose norms overflow: no residual can be trusted, so
+    # this must not pass as a success, nor print numpy warnings
     rng = np.random.default_rng(9)
     b = 1e200 * rng.standard_normal((3, 8))
+    phi = rng.random((4, 8))
     with pytest.raises(SingularSystem):
-        update_projection(b, rng.random((4, 8)), lam=0.1)
+        update_projection(b, phi, ridge_system(phi, 0.1))
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
-@pytest.mark.parametrize("lam", [0.3, 0.0])
-def test_projection_with_formed_system_is_bit_equal(lam):
-    # lam = 0 with a rank-1 graph takes the pseudo-inverse path
+def test_projection_nan_embedding_raises_singular_system_quietly(recwarn):
+    # a NaN right-hand side must not reach scipy's finiteness check
     rng = np.random.default_rng(10)
     b = rng.standard_normal((3, 12))
-    phi = rng.random((5, 12)) if lam else np.outer(np.ones(5), np.linspace(1.0, 2.0, 12))
-    gram = phi @ phi.T
-    got = update_projection(b, phi, lam, system=gram + lam * np.eye(5))
-    np.testing.assert_array_equal(got, update_projection(b, phi, lam, gram))
+    b[1, 4] = np.nan
+    phi = rng.random((5, 12))
+    with pytest.raises(SingularSystem):
+        update_projection(b, phi, ridge_system(phi, 0.3))
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_run_with_nan_graph_raises_singular_system_quietly(recwarn):
@@ -408,7 +412,10 @@ def test_each_update_does_not_increase_objective():
     base = objective_value(state, graphs, cfg)
 
     # projection refresh is the exact ridge minimizer
-    proj = [update_projection(b, g, cfg.lam) for b, g in zip(state.embeddings, graphs)]
+    proj = [
+        update_projection(b, g, ridge_system(g, cfg.lam))
+        for b, g in zip(state.embeddings, graphs)
+    ]
     after_proj = SolverState(
         proj, state.embeddings, state.consensus, state.lowfreq_tensor, 0, []
     )
@@ -562,6 +569,8 @@ def test_run_validates_config():
         run(graphs, SolverConfig(embed_dim=3, low_freq=8))
     with pytest.raises(EmbedDimTooSmall):
         run(graphs, SolverConfig(embed_dim=1, low_freq=3))
+    with pytest.raises(ValidationError):
+        SolverConfig(embed_dim=3, max_iters=2.5)
     with pytest.raises(ValidationError):
         run(graphs, SolverConfig(embed_dim=6, low_freq=3))  # K > M
     with pytest.raises(ShapeMismatch):
