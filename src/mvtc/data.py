@@ -106,6 +106,8 @@ def generate_synthetic(
         raise ValidationError(f"got {len(dims)} dims for {n_views} views")
     if not 1 <= n_clusters <= n_samples:
         raise ValidationError(f"cannot split {n_samples} samples into {n_clusters} clusters")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     latent_dim = max(2, n_clusters)
     centers = rng.standard_normal((latent_dim, n_clusters))

@@ -13,7 +13,7 @@ import ctypes
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -114,16 +114,19 @@ def _cluster(dataset: MultiViewDataset, config: PipelineConfig, out_path) -> Run
     n_anchors = config.n_anchors if config.n_anchors is not None else min(DEFAULT_ANCHORS, n)
     if config.restarts < 1:
         raise ValidationError("restarts must be at least 1")
+    # built with the given beta, so that --no-isc does not skip its check
     solver_cfg = SolverConfig(
         embed_dim=embed_dim,
         lam=config.lam,
-        beta=0.0 if config.no_isc else config.beta,
+        beta=config.beta,
         low_freq=config.low_freq,
         max_iters=config.max_iters,
         seed=config.seed,
         early_stop_tol=config.early_stop_tol,
         smooth_embeddings=not config.no_igs,
     )
+    if config.no_isc:
+        solver_cfg = replace(solver_cfg, beta=0.0)
 
     t0 = time.perf_counter()
     order = sample_norm_order(dataset.views)

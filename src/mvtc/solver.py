@@ -25,7 +25,9 @@ callback keeps its own tensor.  ``U_v phi_v`` is formed once per view and
 iteration: the embedding blend uses it, and the same buffer then yields the
 fit term ||B_v - U_v phi_v||^2 for the objective and serves as its scratch.
 The K x N arithmetic runs in place in the order of the plain expressions,
-so the results keep their bits.
+and the coupling term ||B - Y||^2 is summed through a small buffer in the
+order of numpy's pairwise summation, so the results keep their bits.  An
+iteration whose objective is not finite raises :class:`SingularSystem`.
 
 All randomness flows from ``SolverConfig.seed``; repeated runs are
 bit-identical.
@@ -48,6 +50,9 @@ _RIDGE_RESIDUAL_TOL = 1e-8
 # Columns per block of the z-score normalization.
 ZSCORE_BLOCK = 4096
 
+# Largest part of the coupling term's sum formed at once, in entries.
+COUPLING_BLOCK = 1 << 14
+
 
 @dataclass
 class SolverConfig:
@@ -56,8 +61,8 @@ class SolverConfig:
     ``early_stop_tol = 0`` (the default) disables the convergence guard and
     always runs the full ``max_iters`` iterations.  The settings are checked
     here, before any work: ``embed_dim`` at least 2, ``lam``, ``beta`` and
-    ``early_stop_tol`` finite and non-negative, ``max_iters`` an integer
-    >= 0.  ``low_freq`` depends on N, so :func:`run` checks it.
+    ``early_stop_tol`` finite and non-negative, ``max_iters`` and ``seed``
+    integers >= 0.  ``low_freq`` depends on N, so :func:`run` checks it.
     """
 
     embed_dim: int
@@ -76,10 +81,10 @@ class SolverConfig:
             value = getattr(self, name)
             if not 0 <= value < float("inf"):  # NaN fails both comparisons
                 raise ValidationError(f"{name} must be finite and non-negative, got {value}")
-        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 0:
-            raise ValidationError(
-                f"max_iters must be a non-negative integer, got {self.max_iters!r}"
-            )
+        for name in ("max_iters", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < 0:
+                raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
 
 
 @dataclass
@@ -112,25 +117,27 @@ def zscore_normalize_columns(mat: np.ndarray, *, out: np.ndarray | None = None) 
     if out is None:
         out = np.empty((k, n))
     deviation_buf = np.empty((k, min(n, ZSCORE_BLOCK)))
-    for lo in range(0, n, ZSCORE_BLOCK):
-        cols = slice(lo, lo + ZSCORE_BLOCK)
-        block = mat[:, cols]
-        # np.mean's and np.std(ddof=1)'s own steps, so the bits match
-        # ``centered = mat - mat.mean(0)`` and ``centered.std(0, ddof=1)``
-        centered = np.subtract(block, np.add.reduce(block, axis=0) / k, out=out[:, cols])
-        deviation = np.subtract(
-            centered, np.add.reduce(centered, axis=0) / k,
-            out=deviation_buf[:, :centered.shape[1]],
-        )
-        np.square(deviation, out=deviation)
-        std = np.add.reduce(deviation, axis=0)
-        std /= k - 1
-        np.sqrt(std, out=std)
-        with np.errstate(divide="ignore", invalid="ignore"):  # zero-variance columns are patched below
+    # zero-variance columns are patched below; a non-finite column turns to
+    # NaN quietly, and the solver's objective check reports it
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for lo in range(0, n, ZSCORE_BLOCK):
+            cols = slice(lo, lo + ZSCORE_BLOCK)
+            block = mat[:, cols]
+            # np.mean's and np.std(ddof=1)'s own steps, so the bits match
+            # ``centered = mat - mat.mean(0)`` and ``centered.std(0, ddof=1)``
+            centered = np.subtract(block, np.add.reduce(block, axis=0) / k, out=out[:, cols])
+            deviation = np.subtract(
+                centered, np.add.reduce(centered, axis=0) / k,
+                out=deviation_buf[:, :centered.shape[1]],
+            )
+            np.square(deviation, out=deviation)
+            std = np.add.reduce(deviation, axis=0)
+            std /= k - 1
+            np.sqrt(std, out=std)
             np.divide(centered, std, out=centered)
-        dead = std == 0
-        if dead.any():
-            centered[:, dead] = _unit_variance_template(k)[:, None]
+            dead = std == 0
+            if dead.any():
+                centered[:, dead] = _unit_variance_template(k)[:, None]
     return out
 
 
@@ -222,13 +229,15 @@ def update_embedding(
 
     The result goes to ``out`` when given, else to a new array.  ``product``
     is a K x N buffer that receives ``U phi`` and still holds it on return,
-    for the caller's fit term.
+    for the caller's fit term.  A blend that overflows (a huge finite
+    ``beta``) yields NaN columns without a warning.
     """
     product = np.matmul(projection, graph, out=product)
-    out = np.multiply(beta, consensus, out=out)
-    out += lowfreq_slice
-    out += product
-    out /= beta + 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.multiply(beta, consensus, out=out)
+        out += lowfreq_slice
+        out += product
+        out /= beta + 2.0
     return zscore_normalize_columns(out, out=out)
 
 
@@ -248,6 +257,25 @@ def _squared_distance(a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> floa
     return float(np.sum(scratch))
 
 
+def _pairwise_gap_sum(a: np.ndarray, b: np.ndarray, buf: np.ndarray) -> float:
+    """sum((a - b)**2) over two 1-d arrays, through the 1-d ``buf``.
+
+    The range is split as numpy's pairwise summation splits it (in halves,
+    the first rounded down to a multiple of 8) until a part fits ``buf``,
+    and each part is summed by ``np.sum``, so the result has the bits of
+    ``np.sum(np.square(a - b))`` without a temporary of a's size.
+    """
+    n = a.size
+    if n <= buf.size:
+        gap = np.subtract(a, b, out=buf[:n])
+        np.square(gap, out=gap)
+        return np.sum(gap)
+    half = n // 2
+    half -= half % 8
+    return (_pairwise_gap_sum(a[:half], b[:half], buf)
+            + _pairwise_gap_sum(a[half:], b[half:], buf))
+
+
 def objective_value(
     state: SolverState,
     graphs: list[np.ndarray],
@@ -265,7 +293,8 @@ def objective_value(
     holds each view's ||B_v - U_v phi_v||^2 and ``stacked`` the (K, V, N)
     tensor whose slices are ``state.embeddings``, when the caller has them;
     either is formed here when omitted.  ``scratch`` is a K x N buffer for
-    each view's fit and gap in turn (allocated here when omitted).
+    each view's fit and gap in turn, and for the coupling term's parts
+    (allocated here when omitted).
     """
     if scratch is None:
         scratch = np.empty(state.consensus.shape)
@@ -280,9 +309,11 @@ def objective_value(
         total += 0.5 * cfg.beta * _squared_distance(state.consensus, b, scratch)
     if stacked is None:
         stacked = stack_views(state.embeddings)
-    coupling = np.subtract(stacked, state.lowfreq_tensor)
-    np.square(coupling, out=coupling)  # the same sum, one K x V x N array fewer
-    total += 0.5 * float(np.sum(coupling))
+    coupling = _pairwise_gap_sum(
+        stacked.reshape(-1), state.lowfreq_tensor.reshape(-1),
+        scratch.reshape(-1)[:COUPLING_BLOCK],
+    )
+    total += 0.5 * float(coupling)
     return total
 
 
@@ -297,7 +328,8 @@ def run(
     (normalized, shared by all views so identical inputs stay symmetric
     across views), the consensus from their normalized mean, and the
     low-frequency tensor from zero.  ``callback`` is invoked with a state
-    snapshot after every iteration; treat it as read-only.
+    snapshot after every iteration; treat it as read-only.  Raises
+    :class:`SingularSystem` when an iteration's objective is not finite.
     """
     graphs = [np.ascontiguousarray(g, dtype=float) for g in graphs]
     if not graphs:
@@ -351,15 +383,19 @@ def run(
             lowfreq = lowfreq_truncate(stacked, cfg.low_freq)
         else:
             lowfreq = stacked
+        del consensus  # the embeddings are formed; previous_consensus keeps it if needed
         consensus = update_consensus(embeddings)
         # shallow list copies: later iterations refill the lists, and callback
         # holders expect a consistent per-iteration snapshot
         state = SolverState(
             list(projections), list(embeddings), consensus, lowfreq, t + 1, trace
         )
-        trace.append(objective_value(
+        objective = objective_value(
             state, graphs, cfg, fits=fits, stacked=stacked, scratch=product
-        ))
+        )
+        if not np.isfinite(objective):
+            raise SingularSystem(f"objective is {objective} at iteration {t + 1}")
+        trace.append(objective)
         del stacked  # the embeddings hold it until the next projections
         if callback is not None:
             callback(state)

@@ -3,7 +3,8 @@
 Everything here is written the slow, obvious way on purpose: direct
 summation DFTs, explicit block-circulant products, per-entry distance
 sums, exhaustive enumerations.  None of it shares code with the package,
-except that the frozen solver loop at the end calls the package's ridge step.
+except that the frozen solver loop at the end calls the package's ridge step
+and low-frequency truncation.
 """
 
 import itertools
@@ -151,8 +152,9 @@ def exhaustive_kmeans_optimum(points, n_clusters):
 # The alternating solver loop as it stood before its in-place rewrite: every
 # K x N step allocates its result, the objective forms U_v phi_v again and
 # stacks the embeddings into a fresh copy.  The package's ``solver.run`` must
-# reproduce it bit for bit.  Only the ridge step, which the rewrite left
-# alone, is taken from the package.
+# reproduce it bit for bit.  The ridge step and the truncation, which the
+# rewrite left alone, are taken from the package: the truncation has its own
+# tests against a zeroed spectrum, and its routes differ in the last bits.
 
 
 def _zscore_reference(mat):
@@ -174,13 +176,6 @@ def _zscore_reference(mat):
 def _embedding_reference(projection, graph, consensus, lowfreq_slice, beta):
     raw = (beta * consensus + lowfreq_slice + projection @ graph) / (beta + 2.0)
     return _zscore_reference(raw)
-
-
-def _lowfreq_reference(embeddings, keep):
-    b = np.stack(embeddings, axis=1)
-    bh = np.fft.rfft(b, axis=2)
-    bh[:, :, keep:] = 0.0
-    return np.fft.irfft(bh, n=b.shape[2], axis=2)
 
 
 def _consensus_reference(embeddings):
@@ -205,6 +200,7 @@ def _objective_reference(projections, embeddings, consensus, lowfreq, graphs, la
 def solver_run_reference(graphs, cfg):
     """``solver.run`` (validation aside) before its in-place rewrite."""
     from mvtc.solver import ridge_system, update_projection
+    from mvtc.tensor_ops import lowfreq_truncate
 
     graphs = [np.ascontiguousarray(g, dtype=float) for g in graphs]
     n = graphs[0].shape[1]
@@ -228,7 +224,7 @@ def solver_run_reference(graphs, cfg):
                 projections[v], g, consensus, lowfreq[:, v, :], cfg.beta
             )
         if cfg.smooth_embeddings:
-            lowfreq = _lowfreq_reference(embeddings, cfg.low_freq)
+            lowfreq = lowfreq_truncate(np.stack(embeddings, axis=1), cfg.low_freq)
         else:
             lowfreq = np.stack(embeddings, axis=1)
         consensus = _consensus_reference(embeddings)

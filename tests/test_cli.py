@@ -176,6 +176,11 @@ SMALL_RUN = ["run", "--synthetic", "n=300,c=3,v=2,dims=4:5", "--anchors", "30"]
         SMALL_RUN + ["--early-stop-tol", "nan"],
         SMALL_RUN + ["--clusters", "0"],
         SMALL_RUN + ["--embed-dim", "0"],
+        SMALL_RUN + ["--seed", "-1"],  # the spec's seed defaults to it
+        ["run", "--synthetic", "n=300,c=3,v=2,dims=4:5,seed=1", "--anchors", "30", "--seed", "-1"],
+        ["run", "--synthetic", "n=300,c=3,v=2,dims=4:5,seed=-1", "--anchors", "30"],
+        ["gen-synthetic", "--samples", "10", "--clusters", "2", "--seed", "-1", "--out", "/tmp/x"],
+        SMALL_RUN + ["--no-isc", "--beta", "nan"],
     ],
 )
 def test_malformed_flag_values_exit_cleanly(argv, capsys):
@@ -253,6 +258,18 @@ def test_huge_finite_view_values_exit_3_with_one_json_line(
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == error
     # pytest captures warnings, so stderr alone would not show numpy's lines
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_huge_finite_beta_exits_3_with_one_json_line(capsys, recwarn):
+    code, _, stderr = run_cli(
+        capsys, "run", "--synthetic", "n=600,c=10,v=2,dims=4:5", "--anchors", "60",
+        "--beta", "1e308",
+    )
+    assert code == 3
+    lines = stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "SingularSystem"
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 

@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvtc.errors import InvalidLowFrequencyParameter
-from mvtc.tensor_ops import fft_mode3, kept_slice_indices, lowfreq_truncate
+from mvtc.tensor_ops import (
+    DFT_BLOCK,
+    DFT_MAX_KEEP,
+    _truncate_dft,
+    _truncate_fft,
+    fft_mode3,
+    kept_slice_indices,
+    lowfreq_truncate,
+)
 
 from oracles import lowfreq_truncate_bruteforce
 
@@ -104,14 +112,44 @@ def test_kept_slice_indices_layout():
     np.testing.assert_array_equal(kept_slice_indices(9, 1), [0])
 
 
+def zeroed_spectrum_truncation(b, keep):
+    spectrum = np.fft.rfft(b, axis=2)
+    spectrum[:, :, keep:] = 0.0
+    return np.fft.irfft(spectrum, n=b.shape[2], axis=2)
+
+
 @pytest.mark.parametrize("depth", [120, 121])
 @pytest.mark.parametrize("keep", [1, 2, 17, 60, 61])
 def test_inverting_only_the_kept_bins_matches_zeroing_the_rest(depth, keep):
     b = random_tensor((3, 2, depth), seed=depth + keep)
-    spectrum = np.fft.rfft(b, axis=2)
-    spectrum[:, :, keep:] = 0.0
-    expected = np.fft.irfft(spectrum, n=depth, axis=2)
-    np.testing.assert_array_equal(lowfreq_truncate(b, keep), expected)
+    expected = zeroed_spectrum_truncation(b, keep)
+    np.testing.assert_array_equal(_truncate_fft(b, keep), expected)
+
+
+@pytest.mark.parametrize(
+    "depth, keep",
+    [
+        (120, 17),                 # even N
+        (121, 17),                 # odd N
+        (2 * DFT_BLOCK + 5, 16),   # prime N, not a multiple of the block
+        (2 * DFT_BLOCK + 5, 1),    # the DC bin alone
+        (3 * DFT_BLOCK, 9),        # whole blocks only
+        (8, 5),                    # the Nyquist bin, its own partner
+        (2 * (DFT_MAX_KEEP - 1), DFT_MAX_KEEP),  # the Nyquist bin at the threshold
+        (5000, DFT_MAX_KEEP),      # the largest keep the DFT route takes
+    ],
+)
+def test_dft_route_matches_zeroing_the_rest(depth, keep):
+    b = random_tensor((3, 2, depth), seed=depth + keep)
+    expected = zeroed_spectrum_truncation(b, keep)
+    scale = np.abs(expected).max()
+    np.testing.assert_allclose(_truncate_dft(b, keep), expected, rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_route_follows_the_kept_count():
+    b = random_tensor((2, 2, 600), seed=11)
+    for keep, route in ((DFT_MAX_KEEP, _truncate_dft), (DFT_MAX_KEEP + 1, _truncate_fft)):
+        np.testing.assert_array_equal(lowfreq_truncate(b, keep), route(b, keep))
 
 
 def test_truncation_holds_little_beyond_its_input_and_output():

@@ -14,7 +14,9 @@ from mvtc.errors import (
     ValidationError,
 )
 from mvtc.solver import (
+    COUPLING_BLOCK,
     ZSCORE_BLOCK,
+    _pairwise_gap_sum,
     SolverConfig,
     SolverState,
     objective_value,
@@ -247,6 +249,17 @@ def test_run_with_nan_graph_raises_singular_system_quietly(recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def test_run_with_overflowing_blend_raises_singular_system_quietly(recwarn):
+    # beta * consensus overflows, the embeddings turn to NaN in the first
+    # iteration, and the objective check stops the run there
+    graphs = random_graphs(2, 12, 40, seed=12)
+    seen = []
+    with pytest.raises(SingularSystem, match="iteration 1"):
+        run(graphs, SolverConfig(embed_dim=10, low_freq=4, beta=1e308), callback=seen.append)
+    assert seen == []
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 # ---------------------------------------------------------------------------
 # embedding / consensus / smoothing updates
 
@@ -399,6 +412,16 @@ def test_objective_matches_term_by_term_oracle():
     expected += 0.5 * np.linalg.norm(stack_views(state.embeddings) - state.lowfreq_tensor) ** 2
     got = objective_value(state, graphs, cfg)
     assert got == pytest.approx(expected, rel=1e-10)
+
+
+@pytest.mark.parametrize("size", [7, 129, COUPLING_BLOCK, COUPLING_BLOCK + 1, 240_000, 1_000_003])
+def test_coupling_sum_has_the_bits_of_one_whole_array_sum(size):
+    rng = np.random.default_rng(size)
+    a = rng.standard_normal(size) * 1e3
+    b = rng.standard_normal(size)
+    want = np.sum(np.square(a - b))
+    assert _pairwise_gap_sum(a, b, np.empty(COUPLING_BLOCK)) == want
+    assert _pairwise_gap_sum(a, b, np.empty(1000)) == want  # smaller parts, same tree
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +594,8 @@ def test_run_validates_config():
         run(graphs, SolverConfig(embed_dim=1, low_freq=3))
     with pytest.raises(ValidationError):
         SolverConfig(embed_dim=3, max_iters=2.5)
+    with pytest.raises(ValidationError):
+        SolverConfig(embed_dim=3, seed=-1)
     with pytest.raises(ValidationError):
         run(graphs, SolverConfig(embed_dim=6, low_freq=3))  # K > M
     with pytest.raises(ShapeMismatch):
