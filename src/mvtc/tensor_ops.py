@@ -38,7 +38,7 @@ _IMAG_TOL = 1e-8
 # DFT took 43 ms per call at keep = 32 against the FFT's 78 ms, and about
 # matched it between keep = 64 and 96; at 120 tubes of 10,000 samples the
 # two matched near keep = 48.  Below a few thousand samples the FFT is the
-# faster one at any keep, but either takes under a millisecond there.
+# faster one at any keep, but a call there costs a few milliseconds at most.
 DFT_MAX_KEEP = 32
 
 # Columns per block of the DFT route: its basis is DFT_BLOCK x 2*keep values
