@@ -3,13 +3,9 @@
 Views are feature-major matrices (D_v x N).  A single set of M sample
 indices is drawn once and reused in every view, so the per-view graphs
 describe the same landmark samples and the downstream embeddings stay
-comparable across views.
-
-Anchor sampling is uniform without replacement, but over the sample order
-sorted ascending by the L2 norm of each sample's concatenated all-view
-feature vector.  That makes the selected set independent of the on-disk
-sample order: ``order = argsort(norms); indices = order[rng.choice(N, M,
-replace=False)]`` with ``rng = numpy.random.default_rng(seed)``.
+comparable across views.  The draw is uniform without replacement over the
+columns as given: ``numpy.random.default_rng(seed).choice(N, M,
+replace=False)``.
 """
 
 from __future__ import annotations
@@ -46,22 +42,6 @@ class AnchorSet:
     indices: np.ndarray                  # (M,) sample indices, shared across views
     anchors_per_view: list[np.ndarray]   # one (D_v, M) matrix per view
     sigma_per_view: list[float]          # RBF kernel width per view, positive and finite
-
-
-def select_anchor_indices(views: list[np.ndarray], m: int, seed: int) -> np.ndarray:
-    """Draw M shared sample indices; deterministic under ``seed``."""
-    n = check_views(views)
-    if not 1 <= m <= n:
-        raise TooManyAnchors(f"requested {m} anchors from {n} samples")
-    order = sample_norm_order(views)
-    rng = np.random.default_rng(seed)
-    return order[rng.choice(n, size=m, replace=False)]
-
-
-def sample_norm_order(views: list[np.ndarray]) -> np.ndarray:
-    """Sample indices sorted ascending by concatenated-feature L2 norm."""
-    norms = sum(np.einsum("dn,dn->n", v, v) for v in views)
-    return np.argsort(norms, kind="stable")
 
 
 def sqdist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -201,7 +181,10 @@ def select_anchors(
     kernel_width: float | list[float] | None = None,
 ) -> AnchorSet:
     """Pick M shared anchors and estimate (or accept) per-view kernel widths."""
-    indices = select_anchor_indices(views, m, seed)
+    n = check_views(views)
+    if not 1 <= m <= n:
+        raise TooManyAnchors(f"requested {m} anchors from {n} samples")
+    indices = np.random.default_rng(seed).choice(n, size=m, replace=False)
     anchor_cols = [np.ascontiguousarray(v[:, indices]) for v in views]
     if kernel_width is None:
         sigmas = [estimate_kernel_width(v, a, seed=seed) for v, a in zip(views, anchor_cols)]

@@ -17,7 +17,7 @@ import sys
 from .data import generate_synthetic, load_dataset, load_labels, save_dataset
 from .errors import NumericalError, ValidationError
 from .metrics import clustering_scores
-from .pipeline import PRESETS, PipelineConfig, run_pipeline
+from .pipeline import DEFAULT_ANCHORS, PRESETS, PipelineConfig, run_pipeline
 
 
 def main(argv=None) -> int:
@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--synthetic",
         help="inline synthetic spec, e.g. n=500,c=5,v=3,dims=20:30:25,noise=0.1,seed=7",
     )
-    run_p.add_argument("--anchors", type=int, default=None, help="anchor count M (default min(1000, N))")
+    run_p.add_argument("--anchors", type=int, default=None, help=f"anchor count M (default min({DEFAULT_ANCHORS}, N))")
     run_p.add_argument("--clusters", type=int, default=None, help="cluster count C")
     run_p.add_argument("--embed-dim", type=int, default=None, help="embedding dimension K (default C)")
     run_p.add_argument("--lambda", dest="lam", type=float, default=None, help="projection ridge weight")
@@ -77,10 +77,10 @@ def _build_parser() -> argparse.ArgumentParser:
     gen_p = sub.add_parser("gen-synthetic", help="write a synthetic multi-view dataset")
     gen_p.add_argument("--samples", type=int, required=True)
     gen_p.add_argument("--clusters", type=int, required=True)
-    gen_p.add_argument("--views", type=int, default=3)
-    gen_p.add_argument("--dims", default=None, help="per-view feature dims, e.g. 20:30:25 (default 16 each)")
-    gen_p.add_argument("--noise", type=float, default=0.1)
-    gen_p.add_argument("--seed", type=int, default=0)
+    gen_p.add_argument("--views", type=int, default=None)
+    gen_p.add_argument("--dims", default=None, help="per-view feature dims, e.g. 20:30:25 or 20,30,25")
+    gen_p.add_argument("--noise", type=float, default=None)
+    gen_p.add_argument("--seed", type=int, default=None)
     gen_p.add_argument("--format", choices=["csv", "bin"], default="csv")
     gen_p.add_argument("--out", required=True, help="output directory")
     gen_p.set_defaults(handler=_cmd_gen)
@@ -114,38 +114,28 @@ def _cmd_run(args) -> int:
         threads=threads,
         **settings,
     )
-    return _print_json(run_pipeline(dataset, config).to_dict(), args.out)
+    return _print_json(run_pipeline(dataset, config).to_json(), args.out)
 
 
 def _cmd_metrics(args) -> int:
     scores = clustering_scores(load_labels(args.pred), load_labels(args.truth))
-    return _print_json(scores, args.out)
+    return _print_json(json.dumps(scores, indent=2, sort_keys=True) + "\n", args.out)
 
 
 def _cmd_gen(args) -> int:
-    if args.dims:
-        try:
-            dims = [int(tok) for tok in args.dims.replace(":", ",").split(",")]
-        except ValueError as exc:
-            raise ValidationError(f"bad --dims value: {exc}") from exc
-    else:
-        dims = [16] * args.views
-    dataset = generate_synthetic(
-        n_samples=args.samples,
-        n_clusters=args.clusters,
+    dataset = generate_synthetic(args.samples, args.clusters, **_given(
         n_views=args.views,
-        dims=dims,
+        dims=None if args.dims is None else _parse_dims(args.dims),
         noise=args.noise,
         seed=args.seed,
-    )
+    ))
     manifest = save_dataset(dataset, args.out, fmt=args.format)
     print(str(manifest))
     return 0
 
 
-def _print_json(result: dict, out) -> int:
-    """Print ``result`` as JSON, and write the same text to ``out`` if set."""
-    text = json.dumps(result, indent=2, sort_keys=True) + "\n"
+def _print_json(text: str, out) -> int:
+    """Print JSON ``text``, and write the same text to ``out`` if set."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -158,32 +148,47 @@ def _given(**values) -> dict:
     return {key: value for key, value in values.items() if value is not None}
 
 
+def _parse_dims(raw: str) -> list[int]:
+    """Per-view feature dims separated by ``:`` (or ``,``), e.g. ``20:30:25``."""
+    try:
+        return [int(tok) for tok in raw.replace(",", ":").split(":")]
+    except ValueError as exc:
+        raise ValidationError(f"bad dims value '{raw}': {exc}") from exc
+
+
+# --synthetic spec keys: the generate_synthetic argument each sets, and its parser
+_SPEC_KEYS = {
+    "n": ("n_samples", int),
+    "c": ("n_clusters", int),
+    "v": ("n_views", int),
+    "dims": ("dims", _parse_dims),
+    "noise": ("noise", float),
+    "seed": ("seed", int),
+}
+
+
 def _synthetic_from_spec(spec: str, default_seed: int):
-    """Parse ``n=500,c=5,v=3,dims=20:30:25,noise=0.1,seed=7`` into a dataset."""
-    fields = {}
+    """Parse ``n=500,c=5,v=3,dims=20:30:25,noise=0.1,seed=7`` into a dataset; n and c are required."""
+    given = {}
     for token in spec.split(","):
         if not token.strip():
             continue
         if "=" not in token:
             raise ValidationError(f"bad synthetic spec token '{token}' (want key=value)")
-        key, value = token.split("=", 1)
-        fields[key.strip()] = value.strip()
-    try:
-        n = int(fields["n"])
-        c = int(fields["c"])
-        v = int(fields.get("v", 3))
-        noise = float(fields.get("noise", 0.1))
-        seed = int(fields.get("seed", default_seed))
-        dims = (
-            [int(tok) for tok in fields["dims"].split(":")]
-            if "dims" in fields
-            else [16] * v
-        )
-    except KeyError as exc:
-        raise ValidationError(f"synthetic spec is missing {exc}") from exc
-    except ValueError as exc:
-        raise ValidationError(f"bad synthetic spec value: {exc}") from exc
-    return generate_synthetic(n, c, v, dims, noise, seed)
+        key, value = (part.strip() for part in token.split("=", 1))
+        if key not in _SPEC_KEYS:
+            raise ValidationError(f"unknown synthetic spec key '{key}' (want one of {', '.join(_SPEC_KEYS)})")
+        name, parse = _SPEC_KEYS[key]
+        if name in given:
+            raise ValidationError(f"synthetic spec key '{key}' is given twice")
+        try:
+            given[name] = parse(value)
+        except ValueError as exc:
+            raise ValidationError(f"bad synthetic spec value for '{key}': {exc}") from exc
+    if "n_samples" not in given or "n_clusters" not in given:
+        raise ValidationError(f"synthetic spec '{spec}' needs both n and c")
+    given.setdefault("seed", default_seed)  # other unset keys keep generate_synthetic's defaults
+    return generate_synthetic(**given)
 
 
 def _parse_kernel_width(raw):

@@ -75,8 +75,8 @@ def check_views(views: list[np.ndarray]) -> int:
     if len(views) == 0:
         raise ValidationError("need at least one view")
     for i, v in enumerate(views):
-        if v.ndim != 2:
-            raise DimensionMismatch(f"view {i} is not a matrix: shape {v.shape}")
+        if v.ndim != 2 or v.shape[0] == 0:
+            raise DimensionMismatch(f"view {i} is not a matrix with features: shape {v.shape}")
         if v.shape[1] != views[0].shape[1]:
             raise DimensionMismatch(
                 f"view {i} has {v.shape[1]} samples but view 0 has {views[0].shape[1]}"
@@ -87,10 +87,10 @@ def check_views(views: list[np.ndarray]) -> int:
 def generate_synthetic(
     n_samples: int,
     n_clusters: int,
-    n_views: int,
-    dims: list[int],
-    noise: float,
-    seed: int,
+    n_views: int = 3,
+    dims: list[int] | None = None,
+    noise: float = 0.1,
+    seed: int = 0,
     name: str = "synthetic",
 ) -> MultiViewDataset:
     """Cluster-structured multi-view data from shared latent centers.
@@ -100,10 +100,14 @@ def generate_synthetic(
     directions are random but their norms form a strict ladder (2, 3, ...),
     so orderings keyed on feature norms group the clusters contiguously;
     the emitted sample order is shuffled.  With ``noise=0`` all
-    same-cluster columns of a view are identical.
+    same-cluster columns of a view are identical.  ``dims=None`` gives
+    every view 16 features.
     """
-    if len(dims) != n_views:
-        raise ValidationError(f"got {len(dims)} dims for {n_views} views")
+    dims = [16] * n_views if dims is None else dims
+    if len(dims) != n_views or min(dims, default=1) < 1:
+        raise ValidationError(f"need a dim of at least 1 for each of {n_views} views, got {dims}")
+    if not 0.0 <= noise < np.inf:
+        raise ValidationError(f"noise must be finite and non-negative, got {noise}")
     if not 1 <= n_clusters <= n_samples:
         raise ValidationError(f"cannot split {n_samples} samples into {n_clusters} clusters")
     if not isinstance(seed, (int, np.integer)) or seed < 0:

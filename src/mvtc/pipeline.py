@@ -20,7 +20,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .anchors import build_all_graphs, sample_norm_order, select_anchors
+from .anchors import build_all_graphs, select_anchors
 from .clustering import ClusterModel, kmeans_fit
 from .data import MultiViewDataset
 from .errors import ValidationError
@@ -52,7 +52,7 @@ PRESETS: dict[str, dict] = {
 class PipelineConfig:
     n_clusters: int | None = None   # falls back to the dataset's cluster count
     embed_dim: int | None = None    # falls back to n_clusters
-    n_anchors: int | None = None    # falls back to min(1000, N)
+    n_anchors: int | None = None    # falls back to min(DEFAULT_ANCHORS, N)
     lam: float = SolverConfig.lam
     beta: float = SolverConfig.beta
     low_freq: int = SolverConfig.low_freq
@@ -95,8 +95,9 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig, out_path=Non
     concatenated all-view features.  The low-frequency smoothing acts
     along the sample axis, so it needs an order in which similar samples
     sit near each other; the norm order provides one that does not depend
-    on how the files were written.  Reported labels are mapped back to
-    the input order.  ``config.threads`` sets the BLAS threads for the run.
+    on how the files were written.  Anchors are drawn uniformly over the
+    samples in this order, and reported labels are mapped back to the
+    input order.  ``config.threads`` sets the BLAS threads for the run.
     """
     with _thread_cap(config.threads):
         return _cluster(dataset, config, out_path)
@@ -145,9 +146,8 @@ def _cluster(dataset: MultiViewDataset, config: PipelineConfig, out_path) -> Run
     model = _best_kmeans(state, n_clusters, config)
     kmeans_s = time.perf_counter() - t0
 
-    inverse = np.empty(n, dtype=np.int64)
-    inverse[order] = np.arange(n)
-    labels_pred = model.labels[inverse]  # back to the caller's sample order
+    labels_pred = np.empty_like(model.labels)
+    labels_pred[order] = model.labels  # back to the caller's sample order
 
     scores = None
     if dataset.labels is not None:
@@ -197,6 +197,12 @@ def _cluster(dataset: MultiViewDataset, config: PipelineConfig, out_path) -> Run
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
     return report
+
+
+def sample_norm_order(views: list[np.ndarray]) -> np.ndarray:
+    """Sample indices sorted ascending by concatenated-feature L2 norm."""
+    norms = sum(np.einsum("dn,dn->n", v, v) for v in views)
+    return np.argsort(norms, kind="stable")
 
 
 def _best_kmeans(state: SolverState, n_clusters: int, config: PipelineConfig) -> ClusterModel:

@@ -13,8 +13,11 @@ from hypothesis import strategies as st
 
 from mvtc import pipeline
 from mvtc.cli import main
-from mvtc.data import generate_synthetic, save_dataset
-from mvtc.pipeline import PRESETS, RunReport
+from mvtc.data import generate_synthetic, load_dataset, save_dataset
+from mvtc.pipeline import PRESETS, PipelineConfig, RunReport, run_pipeline
+from mvtc.solver import SolverConfig
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -57,7 +60,7 @@ def test_run_prints_the_bytes_it_writes(tmp_path, capsys):
     )
     assert code == 0
     assert out.read_bytes() == stdout.encode("utf-8")
-    # the same layout as RunReport.to_json, which run_pipeline writes
+    # both are RunReport.to_json's text, the layout run_pipeline writes
     assert RunReport(**json.loads(stdout)).to_json() == stdout
 
 
@@ -181,6 +184,18 @@ SMALL_RUN = ["run", "--synthetic", "n=300,c=3,v=2,dims=4:5", "--anchors", "30"]
         ["run", "--synthetic", "n=300,c=3,v=2,dims=4:5,seed=-1", "--anchors", "30"],
         ["gen-synthetic", "--samples", "10", "--clusters", "2", "--seed", "-1", "--out", "/tmp/x"],
         SMALL_RUN + ["--no-isc", "--beta", "nan"],
+        ["run", "--synthetic", "n=100,c=2,v=2,dims=-3:5"],
+        ["run", "--synthetic", "n=100,c=2,v=2,dims=0:5"],
+        ["run", "--synthetic", "n=100,c=2,v=2,dims=4:5,noise=-1"],
+        ["run", "--synthetic", "n=100,c=2,v=2,dims=4:5,noise=nan"],
+        ["run", "--synthetic", "n=100,c=2,v=2,dims=4:5,noise=inf"],
+        ["run", "--synthetic", "n=100,c=2,v=2,dims=4:5,foo=3"],  # unknown key
+        ["run", "--synthetic", "n=100,c=2,v=2,dims=4:5,nosie=0.5"],  # misspelt key
+        ["run", "--synthetic", "n=300,c=3,v=2,dims=4:5,n=200", "--anchors", "30"],  # repeated key
+        ["gen-synthetic", "--samples", "10", "--clusters", "2", "--views", "2", "--dims=-2:3",
+         "--out", "/tmp/x"],
+        ["gen-synthetic", "--samples", "10", "--clusters", "2", "--dims", "0,4,4", "--out", "/tmp/x"],
+        ["gen-synthetic", "--samples", "10", "--clusters", "2", "--noise", "nan", "--out", "/tmp/x"],
     ],
 )
 def test_malformed_flag_values_exit_cleanly(argv, capsys):
@@ -388,6 +403,51 @@ def test_gen_synthetic_then_run(tmp_path, capsys):
     assert json.loads(stdout)["dataset"]["n_samples"] == 60
 
 
+def test_synthetic_defaults_come_from_generate_synthetic(tmp_path, capsys):
+    expected = generate_synthetic(60, 3, 3, [16, 16, 16], noise=0.1, seed=0)
+    code, stdout, _ = run_cli(
+        capsys, "gen-synthetic", "--samples", "60", "--clusters", "3", "--out", str(tmp_path)
+    )
+    assert code == 0
+    written = load_dataset(stdout.strip())
+    for got, want in zip(written.views, expected.views, strict=True):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(written.labels, expected.labels)
+    # the spec's unset keys take the same defaults, its seed the run's --seed
+    code, stdout, _ = run_cli(capsys, "run", "--synthetic", "n=60,c=3", "--anchors", "20")
+    assert code == 0
+    from_spec = json.loads(stdout)
+    direct = json.loads(run_pipeline(expected, PipelineConfig(n_anchors=20)).to_json())
+    from_spec.pop("timings"), direct.pop("timings")
+    assert from_spec == direct
+
+
+def test_gen_synthetic_takes_comma_separated_dims(tmp_path, capsys):
+    code, stdout, _ = run_cli(
+        capsys, "gen-synthetic", "--samples", "20", "--clusters", "2", "--views", "2",
+        "--dims", "4,5", "--out", str(tmp_path),
+    )
+    assert code == 0
+    assert [v.shape[0] for v in load_dataset(stdout.strip()).views] == [4, 5]
+
+
+def test_readme_run_defaults_match_solver_config():
+    text = README.read_text(encoding="utf-8")
+    fields = {
+        "--lambda": "lam",
+        "--beta": "beta",
+        "--lowfreq": "low_freq",
+        "--iters": "max_iters",
+        "--early-stop-tol": "early_stop_tol",
+    }
+    for flag, field in fields.items():
+        described = re.search(rf"`{flag}` \(([^)]*)\)", text)
+        assert described, f"README does not describe {flag}"
+        stated = re.search(r"default\s+([\d.]+)", described.group(1))
+        assert stated, f"README states no default for {flag}"
+        assert float(stated.group(1)) == getattr(SolverConfig, field), flag
+
+
 def test_threads_flag_and_env(tmp_path, capsys, monkeypatch):
     args = (
         "run",
@@ -440,8 +500,7 @@ def test_threads_flag_sets_bundled_openblas_for_the_run(capsys, monkeypatch):
 
 
 def test_readme_commands_and_paths_exist(capsys):
-    readme = Path(__file__).resolve().parent.parent / "README.md"
-    blocks = "\n".join(re.findall(r"```bash\n(.*?)```", readme.read_text(encoding="utf-8"), re.S))
+    blocks = "\n".join(re.findall(r"```bash\n(.*?)```", README.read_text(encoding="utf-8"), re.S))
     subcommands = set(re.findall(r"(?<![\w/.-])mvtc[ \t]+([\w-]+)", blocks))
     paths = set(re.findall(r"(?<![\w/.-])(?:scripts|perfbench|tests)/[\w./-]*\w", blocks))
     assert subcommands and paths
@@ -450,4 +509,4 @@ def test_readme_commands_and_paths_exist(capsys):
             main([sub, "--help"])
         assert stop.value.code == 0, f"README runs 'mvtc {sub}', which is no subcommand"
     capsys.readouterr()
-    assert not [p for p in sorted(paths) if not (readme.parent / p).exists()]
+    assert not [p for p in sorted(paths) if not (README.parent / p).exists()]

@@ -56,6 +56,30 @@ def test_generation_validation():
         generate_synthetic(10, 3, 2, [4], noise=0.0, seed=0)  # dims/views mismatch
     with pytest.raises(ValidationError):
         generate_synthetic(2, 3, 1, [4], noise=0.0, seed=0)  # more clusters than samples
+    for dims in ([-3, 5], [0, 5]):
+        with pytest.raises(ValidationError, match="at least 1"):
+            generate_synthetic(10, 2, 2, dims)
+    for noise in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="noise"):
+            generate_synthetic(10, 2, 2, [4, 5], noise=noise)
+
+
+def test_generation_defaults():
+    ds = generate_synthetic(12, 3)
+    assert [v.shape for v in ds.views] == [(16, 12)] * 3
+    explicit = generate_synthetic(12, 3, 3, [16, 16, 16], noise=0.1, seed=0)
+    for got, want in zip(ds.views, explicit.views, strict=True):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_view_without_features_is_rejected(tmp_path):
+    ds = generate_synthetic(12, 3, 2, [4, 5], noise=0.3, seed=5)
+    manifest = save_dataset(ds, tmp_path, fmt="bin")
+    write_matrix(tmp_path / "view_1.bin", np.empty((0, 12)), fmt="bin", orientation="features")
+    with pytest.raises(DimensionMismatch, match="view 1 is not a matrix with features"):
+        load_dataset(manifest)
+    with pytest.raises(DimensionMismatch, match="view 0 is not a matrix with features"):
+        MultiViewDataset(views=[np.empty((0, 4))])
 
 
 # ---------------------------------------------------------------------------
