@@ -57,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--beta", type=float, default=None, help="consensus coupling weight")
     run_p.add_argument("--lowfreq", type=int, default=None, help="kept low-frequency slices L")
     run_p.add_argument("--iters", type=int, default=None, help="solver iterations T")
-    run_p.add_argument("--seed", type=int, default=0)
+    run_p.add_argument("--seed", type=int, default=None, help=f"run seed (default {PipelineConfig.seed}); also the --synthetic seed unless its spec sets one")
     run_p.add_argument("--early-stop-tol", type=float, default=None, help="relative consensus-change stop (0 = off)")
     run_p.add_argument("--restarts", type=int, default=None, help="k-means restarts, best inertia wins")
     run_p.add_argument("--kernel-width", default=None, help="RBF width override: one float or one per view, comma-separated")
@@ -92,11 +92,12 @@ def _cmd_run(args) -> int:
     if args.manifest:
         dataset = load_dataset(args.manifest)
     else:
-        dataset = _synthetic_from_spec(args.synthetic, default_seed=args.seed)
+        dataset = _synthetic_from_spec(args.synthetic, seed=args.seed)
     settings = dict(PRESETS[args.preset]) if args.preset else {}
     settings.update(_given(
         n_anchors=args.anchors, lam=args.lam, beta=args.beta, low_freq=args.lowfreq,
         max_iters=args.iters, early_stop_tol=args.early_stop_tol, restarts=args.restarts,
+        seed=args.seed,
     ))
     threads = args.threads
     if threads is None and os.environ.get("MVTC_THREADS"):
@@ -107,7 +108,6 @@ def _cmd_run(args) -> int:
     config = PipelineConfig(
         n_clusters=args.clusters,
         embed_dim=args.embed_dim,
-        seed=args.seed,
         kernel_width=_parse_kernel_width(args.kernel_width),
         no_isc=args.no_isc,
         no_igs=args.no_igs,
@@ -167,7 +167,7 @@ _SPEC_KEYS = {
 }
 
 
-def _synthetic_from_spec(spec: str, default_seed: int):
+def _synthetic_from_spec(spec: str, seed: int | None):
     """Parse ``n=500,c=5,v=3,dims=20:30:25,noise=0.1,seed=7`` into a dataset; n and c are required."""
     given = {}
     for token in spec.split(","):
@@ -187,8 +187,9 @@ def _synthetic_from_spec(spec: str, default_seed: int):
             raise ValidationError(f"bad synthetic spec value for '{key}': {exc}") from exc
     if "n_samples" not in given or "n_clusters" not in given:
         raise ValidationError(f"synthetic spec '{spec}' needs both n and c")
-    given.setdefault("seed", default_seed)  # other unset keys keep generate_synthetic's defaults
-    return generate_synthetic(**given)
+    if seed is not None:
+        given.setdefault("seed", seed)
+    return generate_synthetic(**given)  # unset keys keep generate_synthetic's defaults
 
 
 def _parse_kernel_width(raw):

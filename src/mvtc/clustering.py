@@ -5,10 +5,14 @@ distance-weighted seeding: with ``rng = numpy.random.default_rng(seed)``
 the first center is a uniform column (``rng.integers(n)``), each further
 center is drawn by ``rng.choice(n, p=d2/d2.sum())`` where ``d2`` holds the
 current squared distances to the nearest chosen center (lowest
-not-yet-chosen column if every ``d2`` is zero).  Assignment ties break
-toward the lowest cluster index; an emptied cluster is reseeded with the
-point currently farthest from its own center.  Everything is deterministic
-under the seed.
+not-yet-chosen column if every ``d2`` is zero); the points' squared norms
+are taken once per fit.  The assignment forms one N x C table,
+``-2 x_n^T c_j + |c_j|^2``: the point's own ``|x_n|^2`` is the same in every
+column of its row, so it is left out, and the argmin along each row picks
+the nearest center, ties going to the lowest cluster index.  Centers are
+the members' means, summed in one sparse one-hot product; an emptied cluster
+is reseeded with the point currently farthest from its own center.
+Everything is deterministic under the seed.
 """
 
 from __future__ import annotations
@@ -16,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csc_array
 
-from .anchors import sqdist
+from .anchors import _distances_from_product
 from .errors import TooManyClusters
 
 __all__ = ["ClusterModel", "kmeans_fit", "assign_labels"]
@@ -34,8 +39,10 @@ class ClusterModel:
 
 def assign_labels(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Nearest center per column (squared Euclidean); ties pick the lowest index."""
-    d2 = sqdist(centers, points)
-    return np.argmin(d2, axis=0)
+    # scaling the centers by -2 is exact, so this is -2 (x^T c) to the bit
+    table = points.T @ (-2.0 * centers)
+    table += np.einsum("dc,dc->c", centers, centers)
+    return np.argmin(table, axis=1)
 
 
 def kmeans_fit(
@@ -54,10 +61,10 @@ def kmeans_fit(
     centers = _weighted_seed(x, n_clusters, rng)
     labels = assign_labels(x, centers)
     centers, labels = _reseed_empty(x, centers, labels, n_clusters)
-    buf = np.empty(x.shape)  # scratch for the inertia, C order like a gather
+    buf = np.empty(x.shape)  # scratch for the means and the inertia
     trace = [_inertia(x, centers, labels, buf)]
     for _ in range(max_iters):
-        centers = _cluster_means(x, labels, n_clusters)
+        centers = _cluster_means(x, labels, n_clusters, buf)
         new_labels = assign_labels(x, centers)
         centers, new_labels = _reseed_empty(x, centers, new_labels, n_clusters)
         trace.append(_inertia(x, centers, new_labels, buf))
@@ -76,8 +83,9 @@ def kmeans_fit(
 
 def _weighted_seed(x: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarray:
     n = x.shape[1]
+    norms = np.einsum("dn,dn->n", x, x)
     chosen = [int(rng.integers(n))]
-    d2 = sqdist(x[:, chosen], x)[0]
+    d2 = _distances_to(x, norms, chosen[0])
     for _ in range(1, c):
         total = d2.sum()
         if total > 0:
@@ -85,17 +93,28 @@ def _weighted_seed(x: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarra
         else:
             idx = min(i for i in range(n) if i not in chosen)
         chosen.append(idx)
-        d2 = np.minimum(d2, sqdist(x[:, [idx]], x)[0])
+        np.minimum(d2, _distances_to(x, norms, idx), out=d2)
     return x[:, chosen].copy()
 
 
-def _cluster_means(x: np.ndarray, labels: np.ndarray, c: int) -> np.ndarray:
-    centers = np.zeros((x.shape[0], c))
-    for ci in range(c):
-        members = labels == ci
-        # _reseed_empty guarantees every cluster is populated here
-        centers[:, ci] = x[:, members].mean(axis=1)
-    return centers
+def _distances_to(x: np.ndarray, norms: np.ndarray, i: int) -> np.ndarray:
+    """Squared distances from column ``i`` of ``x`` to every column; ``norms`` holds ``|x_n|^2``."""
+    return _distances_from_product(x[:, i] @ x, norms[i] + norms)
+
+
+def _cluster_means(x: np.ndarray, labels: np.ndarray, c: int, buf: np.ndarray) -> np.ndarray:
+    """Each cluster's mean, with ``buf`` (same size as ``x``) as scratch.
+
+    One product of the points, copied transposed into ``buf``, with a sparse
+    C x N one-hot, which sums each cluster's members in point order.
+    _reseed_empty guarantees every cluster is populated here.
+    """
+    n = labels.size
+    points = buf.reshape(n, x.shape[0])
+    np.copyto(points, x.T)
+    onehot = csc_array((np.ones(n), labels, np.arange(n + 1)), shape=(c, n))
+    sums = (onehot @ points).T
+    return np.ascontiguousarray(sums / np.bincount(labels, minlength=c))
 
 
 def _reseed_empty(

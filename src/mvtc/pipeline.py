@@ -57,7 +57,7 @@ class PipelineConfig:
     beta: float = SolverConfig.beta
     low_freq: int = SolverConfig.low_freq
     max_iters: int = SolverConfig.max_iters
-    seed: int = 0
+    seed: int = SolverConfig.seed
     early_stop_tol: float = SolverConfig.early_stop_tol
     restarts: int = 1
     kernel_width: list[float] | float | None = None

@@ -3,8 +3,9 @@
 Everything here is written the slow, obvious way on purpose: direct
 summation DFTs, explicit block-circulant products, per-entry distance
 sums, exhaustive enumerations.  None of it shares code with the package,
-except that the frozen solver loop at the end calls the package's ridge step
-and low-frequency truncation.
+except that the frozen loops at the end call into it: the solver loop takes
+the package's ridge step and low-frequency truncation, the k-means loop its
+``sqdist`` and empty-cluster reseed.
 """
 
 import itertools
@@ -245,4 +246,77 @@ def solver_run_reference(graphs, cfg):
         lowfreq_tensor=lowfreq,
         iterations=iterations,
         objective_trace=trace,
+    )
+
+
+# ---------------------------------------------------------------------------
+# The k-means loop as it stood before its trimmed rewrite: every seeding step
+# and every assignment forms full squared distances (norms included, clipped
+# at 0) through ``sqdist``, the assignment reduces a C x N table along its
+# columns, and each center is the mean of a masked gather.  The package's
+# ``kmeans_fit`` must give the same labels and iteration count, with centers
+# and inertia trace within a relative 1e-12.  ``sqdist`` and the empty-cluster
+# reseed, which the rewrite left alone, are taken from the package.
+
+
+def _assign_reference(x, centers):
+    from mvtc.anchors import sqdist
+
+    return np.argmin(sqdist(centers, x), axis=0)
+
+
+def _seed_reference(x, c, rng):
+    from mvtc.anchors import sqdist
+
+    n = x.shape[1]
+    chosen = [int(rng.integers(n))]
+    d2 = sqdist(x[:, chosen], x)[0]
+    for _ in range(1, c):
+        total = d2.sum()
+        if total > 0:
+            idx = int(rng.choice(n, p=d2 / total))
+        else:
+            idx = min(i for i in range(n) if i not in chosen)
+        chosen.append(idx)
+        d2 = np.minimum(d2, sqdist(x[:, [idx]], x)[0])
+    return x[:, chosen].copy()
+
+
+def _means_reference(x, labels, c):
+    centers = np.zeros((x.shape[0], c))
+    for ci in range(c):
+        centers[:, ci] = x[:, labels == ci].mean(axis=1)
+    return centers
+
+
+def _inertia_reference(x, centers, labels):
+    diff = x - centers[:, labels]
+    return float(np.sum(diff * diff))
+
+
+def kmeans_fit_reference(points, n_clusters, seed=0, max_iters=100):
+    """``clustering.kmeans_fit`` (validation aside) before its trimmed rewrite."""
+    from mvtc.clustering import _reseed_empty
+
+    x = np.asarray(points, dtype=float)
+    rng = np.random.default_rng(seed)
+    centers = _seed_reference(x, n_clusters, rng)
+    labels = _assign_reference(x, centers)
+    centers, labels = _reseed_empty(x, centers, labels, n_clusters)
+    trace = [_inertia_reference(x, centers, labels)]
+    for _ in range(max_iters):
+        centers = _means_reference(x, labels, n_clusters)
+        new_labels = _assign_reference(x, centers)
+        centers, new_labels = _reseed_empty(x, centers, new_labels, n_clusters)
+        trace.append(_inertia_reference(x, centers, new_labels))
+        stable = np.array_equal(new_labels, labels)
+        labels = new_labels
+        if stable:
+            break
+    return SimpleNamespace(
+        centers=centers,
+        labels=labels,
+        inertia=trace[-1],
+        inertia_trace=trace,
+        n_iter=len(trace) - 1,
     )

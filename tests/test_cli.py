@@ -422,6 +422,23 @@ def test_synthetic_defaults_come_from_generate_synthetic(tmp_path, capsys):
     assert from_spec == direct
 
 
+@pytest.mark.parametrize("source", ["manifest", "synthetic"])
+def test_run_without_seed_matches_seed_zero(tmp_path, capsys, source):
+    if source == "manifest":
+        manifest = save_dataset(generate_synthetic(60, 3, 2, [4, 5], seed=5), tmp_path)
+        args = ["run", "--manifest", str(manifest), "--anchors", "20"]
+    else:
+        args = ["run", "--synthetic", "n=60,c=3,v=2,dims=4:5", "--anchors", "20"]
+    reports = []
+    for extra in ([], ["--seed", "0"]):
+        code, stdout, _ = run_cli(capsys, *args, *extra)
+        assert code == 0
+        report = json.loads(stdout)
+        report.pop("timings")
+        reports.append(report)
+    assert reports[0] == reports[1]
+
+
 def test_gen_synthetic_takes_comma_separated_dims(tmp_path, capsys):
     code, stdout, _ = run_cli(
         capsys, "gen-synthetic", "--samples", "20", "--clusters", "2", "--views", "2",
@@ -434,18 +451,20 @@ def test_gen_synthetic_takes_comma_separated_dims(tmp_path, capsys):
 def test_readme_run_defaults_match_solver_config():
     text = README.read_text(encoding="utf-8")
     fields = {
-        "--lambda": "lam",
-        "--beta": "beta",
-        "--lowfreq": "low_freq",
-        "--iters": "max_iters",
-        "--early-stop-tol": "early_stop_tol",
+        "--lambda": (SolverConfig, "lam"),
+        "--beta": (SolverConfig, "beta"),
+        "--lowfreq": (SolverConfig, "low_freq"),
+        "--iters": (SolverConfig, "max_iters"),
+        "--early-stop-tol": (SolverConfig, "early_stop_tol"),
+        "--restarts": (PipelineConfig, "restarts"),
+        "--seed": (PipelineConfig, "seed"),
     }
-    for flag, field in fields.items():
+    for flag, (owner, field) in fields.items():
         described = re.search(rf"`{flag}` \(([^)]*)\)", text)
         assert described, f"README does not describe {flag}"
         stated = re.search(r"default\s+([\d.]+)", described.group(1))
         assert stated, f"README states no default for {flag}"
-        assert float(stated.group(1)) == getattr(SolverConfig, field), flag
+        assert float(stated.group(1)) == getattr(owner, field), flag
 
 
 def test_threads_flag_and_env(tmp_path, capsys, monkeypatch):

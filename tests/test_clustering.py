@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mvtc import clustering
 from mvtc.clustering import assign_labels, kmeans_fit
 from mvtc.errors import TooManyClusters
 
-from oracles import exhaustive_kmeans_optimum
+from oracles import exhaustive_kmeans_optimum, kmeans_fit_reference
 
 
 def test_single_cluster_center_is_mean():
@@ -114,10 +117,68 @@ def test_cluster_count_validation():
         kmeans_fit(x, 0, seed=0)
 
 
+DUPLICATES = np.array([[0.0, 0.0, 0.0, 5.0, 5.0, 9.0], [0.0, 0.0, 0.0, 5.0, 5.0, 9.0]])
+
+
 def test_duplicate_points_keep_all_clusters_alive():
     # more clusters than distinct locations exercises the reseeding path
-    x = np.array([[0.0, 0.0, 0.0, 5.0, 5.0, 9.0], [0.0, 0.0, 0.0, 5.0, 5.0, 9.0]])
-    model = kmeans_fit(x, 3, seed=0)
+    model = kmeans_fit(DUPLICATES, 3, seed=0)
     counts = np.bincount(model.labels, minlength=3)
     assert counts.size == 3 and counts.min() >= 1
     assert model.inertia == pytest.approx(0.0, abs=1e-18)
+
+
+def blobs(k, n, c, seed):
+    """n points in k dims around c Gaussian centers, as a k x n matrix."""
+    rng = np.random.default_rng(seed)
+    centers = 3.0 * rng.standard_normal((k, c))
+    return centers[:, rng.integers(c, size=n)] + rng.standard_normal((k, n))
+
+
+@pytest.mark.parametrize(
+    "x, n_clusters, seed",
+    [
+        (blobs(40, 3000, 40, seed=0), 40, 1),
+        (blobs(10, 20000, 10, seed=1), 10, 2),
+        (DUPLICATES, 3, 0),  # more clusters than distinct points: the reseed path
+        (blobs(3, 200, 4, seed=2), 1, 3),
+        (blobs(3, 12, 4, seed=3), 12, 4),
+    ],
+    ids=["K=C=40", "K=C=10", "duplicates", "C=1", "C=N"],
+)
+def test_matches_frozen_reference_loop(x, n_clusters, seed):
+    got = kmeans_fit(x, n_clusters, seed=seed)
+    want = kmeans_fit_reference(x, n_clusters, seed=seed)
+    np.testing.assert_array_equal(got.labels, want.labels)
+    assert got.n_iter == want.n_iter
+    np.testing.assert_allclose(got.centers, want.centers, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got.inertia_trace, want.inertia_trace, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("k, n", [(10, 20000), (40, 3000)])
+def test_peak_memory_below_two_and_a_half_point_matrices(k, n):
+    x = blobs(k, n, k, seed=5)
+    tracemalloc.start()
+    try:
+        kmeans_fit(x, k, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one K x N scratch buffer (the means and the inertia) and one N x C
+    # assignment table, at K = C
+    assert peak < 2.5 * k * n * 8
+
+
+def test_assign_labels_called_once_per_iteration_plus_one(monkeypatch):
+    calls = []
+
+    def counted(points, centers):
+        calls.append(1)
+        return assign_labels(points, centers)
+
+    # kmeans_fit looks the name up in the module, as the benchmark's hook does
+    monkeypatch.setattr(clustering, "assign_labels", counted)
+    for seed in range(3):
+        calls.clear()
+        model = kmeans_fit(blobs(4, 500, 5, seed=seed), 5, seed=seed)
+        assert len(calls) == model.n_iter + 1
