@@ -22,16 +22,8 @@ from .errors import DegenerateView, DimensionMismatch, TooManyAnchors, Validatio
 PAIR_CAP = 100_000
 WIDTH_CHUNK = 4096
 
-# Columns per block of the graph build, at least.  Block widths are powers of
-# two, so that OpenBLAS splits each block's columns as it splits the unblocked
-# product's and the graph keeps its bits.  Products of up to about
-# SMALL_PRODUCT multiply-adds go to a small-matrix kernel that can round the
-# last N mod 16 columns differently, so the width doubles until even a
-# half-width block's product is larger (see graph_block_width).
-GRAPH_BLOCK = 2048
-SMALL_PRODUCT = 2**20
-
-# Entries per tile of the elementwise passes over a block's rows.
+# Entries per tile of the elementwise passes over the graph's rows, or one
+# row when a row is longer.
 GRAPH_TILE = 2**15
 
 
@@ -100,21 +92,6 @@ def estimate_kernel_width(view: np.ndarray, anchors: np.ndarray, seed: int = 0) 
     return sigma
 
 
-def graph_block_width(d: int, m: int, n: int) -> int:
-    """Columns per block of an M x N graph over D features.
-
-    The smallest power-of-two multiple of ``GRAPH_BLOCK`` for which a
-    half-width block's product (the narrowest block) has more than
-    ``SMALL_PRODUCT`` multiply-adds, or one block of all N columns when
-    none does below N: no block then goes to the small-matrix kernel unless
-    the unblocked product would.
-    """
-    width = GRAPH_BLOCK
-    while d * m * (width // 2) <= SMALL_PRODUCT and width < n:
-        width *= 2
-    return width
-
-
 def build_anchor_graph(view: np.ndarray, anchors: np.ndarray, sigma: float) -> np.ndarray:
     """M x N graph with entries exp(-||x_n - z_m||^2 / sigma), in (0, 1].
 
@@ -125,10 +102,10 @@ def build_anchor_graph(view: np.ndarray, anchors: np.ndarray, sigma: float) -> n
     squared norms overflow select no entry and leave a non-finite graph,
     which the solver rejects.
 
-    Each block of columns (see :func:`graph_block_width`) has its product
-    ``anchors^T view`` written straight into its slice of the output, and
-    the elementwise passes then run over ``GRAPH_TILE``-entry row tiles of
-    that slice, in place.  Beyond the output, only two tile buffers are held.
+    The product ``anchors^T view`` is written straight into the output, and
+    the elementwise passes then run in place over tiles of whole rows:
+    ``GRAPH_TILE`` entries, or one row when a row is longer.  Beyond the
+    output, only two tile buffers and the squared norms are held.
     """
     if not 0 < sigma < np.inf:
         raise ValidationError(f"kernel width must be positive and finite, got {sigma}")
@@ -139,38 +116,26 @@ def build_anchor_graph(view: np.ndarray, anchors: np.ndarray, sigma: float) -> n
             f"view has {view.shape[0]} features but anchors have {anchors.shape[0]}"
         )
     m, n = anchors.shape[1], view.shape[1]
-    out = np.empty((m, n))
-    width = graph_block_width(view.shape[0], m, n)
-    # the last block also takes a remainder under half a block: BLAS splits a
-    # product's columns by its width, and a narrow last product would round
-    # its columns differently from the unblocked one
-    bounds = [*range(0, max(n - width // 2, 1), width), n]
-    widest = max(max(b - a for a, b in zip(bounds, bounds[1:])), 1)
-    rows = max(GRAPH_TILE // widest, 1)
-    # flat buffers, so that a narrower tile is still a contiguous array
-    sums_buf, dust_buf = np.empty(rows * widest), np.empty(rows * widest, dtype=bool)
+    rows = max(GRAPH_TILE // max(n, 1), 1)
+    sums_buf, dust_buf = np.empty((rows, n)), np.empty((rows, n), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected downstream
+        out = anchors.T @ view
         aa = np.einsum("dm,dm->m", anchors, anchors)
         bb = np.einsum("dn,dn->n", view, view)
-        for start, stop in zip(bounds, bounds[1:]):
-            block = view[:, start:stop]
-            product = np.matmul(anchors.T, block, out=out[:, start:stop])
-            for top in range(0, m, rows):
-                d2 = product[top:top + rows]
-                size, shape = d2.size, d2.shape
-                sums = np.add.outer(aa[top:top + rows], bb[start:stop],
-                                    out=sums_buf[:size].reshape(shape))
-                _distances_from_product(d2, sums)
-                sums *= 1e-11  # the dust threshold
-                # strict: an inf or NaN threshold selects nothing
-                dust = np.less(d2, sums, out=dust_buf[:size].reshape(shape))
-                hits = np.flatnonzero(dust)
-                if hits.size:
-                    mi, ni = np.divmod(hits, shape[1])
-                    diff = block[:, ni] - anchors[:, top + mi]
-                    d2[mi, ni] = np.einsum("dp,dp->p", diff, diff)
-                np.divide(d2, -sigma, out=d2)  # bit-equal to -d2 / sigma
-                np.exp(d2, out=d2)
+        for top in range(0, m, rows):
+            d2 = out[top:top + rows]
+            sums = np.add.outer(aa[top:top + rows], bb, out=sums_buf[:len(d2)])
+            _distances_from_product(d2, sums)
+            sums *= 1e-11  # the dust threshold
+            # strict: an inf or NaN threshold selects nothing
+            dust = np.less(d2, sums, out=dust_buf[:len(d2)])
+            hits = np.flatnonzero(dust)
+            if hits.size:
+                mi, ni = np.divmod(hits, n)
+                diff = view[:, ni] - anchors[:, top + mi]
+                d2[mi, ni] = np.einsum("dp,dp->p", diff, diff)
+            np.divide(d2, -sigma, out=d2)  # bit-equal to -d2 / sigma
+            np.exp(d2, out=d2)
     return out
 
 

@@ -25,7 +25,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:  # OSError: a file that cannot be read or written
         _emit_error(exc)
         return 2
     except NumericalError as exc:

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from mvtc.anchors import (
-    GRAPH_BLOCK,
+    GRAPH_TILE,
     build_anchor_graph,
     build_all_graphs,
     estimate_kernel_width,
-    graph_block_width,
     select_anchors,
 )
 from mvtc.data import MultiViewDataset, generate_synthetic
@@ -210,35 +209,30 @@ def test_graph_of_overflowing_view_is_non_finite_quick_and_quiet():
     assert elapsed < 2.0
 
 
-# Widths below, equal to and above one block; above it, N is not a multiple
-# of the block, with a remainder both under half a block (folded into the
-# last block) and over it.  With 16 features and 100 anchors every block's
-# product is above the small-matrix cutoff of the BLAS (see GRAPH_BLOCK), as
-# with the default 1000 anchors; the two smaller shapes are below it at
-# GRAPH_BLOCK columns, so their blocks are widened.
+# N below, at and above 2048, with remainders mod 2048 under and over 1024
+# and different remainders mod 16; two shapes whose products are small enough
+# for the BLAS's small-matrix kernel; and N above GRAPH_TILE, where each tile
+# is a single row.
 @pytest.mark.parametrize(
     "d, m, n",
-    [
-        pytest.param(16, 100, n, id=str(n))
-        for n in (GRAPH_BLOCK // 2 + 3, GRAPH_BLOCK, 3 * GRAPH_BLOCK + 37, 3 * GRAPH_BLOCK + 1500)
-    ]
+    [pytest.param(16, 100, n, id=str(n)) for n in (1027, 2048, 6181, 7644, 2**15 + 37)]
     + [(16, 30, 3100), (5, 20, 10007)],
 )
-def test_blocked_graph_is_byte_equal_to_unblocked(d, m, n):
+def test_graph_is_byte_equal_to_unblocked(d, m, n):
     # OpenBLAS splits a product differently on one thread than on several
     for threads in (None, 1):
         with _thread_cap(threads):
-            assert_blocked_graph_is_byte_equal_to_unblocked(d, m, n)
+            assert_graph_is_byte_equal_to_unblocked(d, m, n)
 
 
-def assert_blocked_graph_is_byte_equal_to_unblocked(d, m, n):
+def assert_graph_is_byte_equal_to_unblocked(d, m, n):
     rng = np.random.default_rng(n)
     view = rng.standard_normal((d, n))
     anchors = view[:, rng.choice(n, m, replace=False)].copy()
     np.testing.assert_array_equal(
         build_anchor_graph(view, anchors, 2.5), anchor_graph_unblocked(view, anchors, 2.5)
     )
-    # noise-free clusters: every block holds exact-1 entries
+    # noise-free clusters: a sample equal to an anchor gives an exact 1
     ds = generate_synthetic(n, 4, 1, [d], noise=0.0, seed=n)
     view = ds.views[0]
     picks = rng.choice(n, m, replace=False)
@@ -255,22 +249,6 @@ def assert_blocked_graph_is_byte_equal_to_unblocked(d, m, n):
     np.testing.assert_array_equal(graph, anchor_graph_unblocked(view, anchors, 1.0))
 
 
-def test_graph_build_holds_at_most_a_few_blocks_beyond_its_output():
-    m, n = 100, 8 * GRAPH_BLOCK + 300
-    rng = np.random.default_rng(5)
-    view = rng.standard_normal((16, n))
-    anchors = view[:, :m].copy()
-    tracemalloc.start()
-    try:
-        graph = build_anchor_graph(view, anchors, 2.0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    block_bytes = m * GRAPH_BLOCK * 8
-    extra = peak - graph.nbytes
-    assert extra < 3 * block_bytes, f"{extra / block_bytes:.2f} blocks beyond the graph"
-
-
 def traced_peak(fn):
     """(fn(), the peak of the memory traced while it ran)."""
     tracemalloc.start()
@@ -284,22 +262,24 @@ def traced_peak(fn):
 
 def test_graph_build_holds_under_half_a_block_beyond_its_output():
     # the product goes straight into the output; the elementwise passes use
-    # two tile buffers
-    m, n = 100, 8 * GRAPH_BLOCK + 300
+    # two tile buffers.  The bound is 0.5 * M * 2048 * 8 bytes.
+    m, n = 100, 16_684
     view = np.random.default_rng(5).standard_normal((16, n))
     anchors = view[:, :m].copy()
     graph, peak = traced_peak(lambda: build_anchor_graph(view, anchors, 2.0))
-    block_bytes = m * GRAPH_BLOCK * 8
     extra = peak - graph.nbytes
-    assert extra < 0.5 * block_bytes, f"{extra / block_bytes:.2f} blocks beyond the graph"
+    assert extra < 819_200, f"{extra} bytes beyond the graph"
 
 
-def test_block_width_widens_only_small_products():
-    for d, m in [(64, 1000), (96, 1000), (16, 100), (32, 300)]:  # the benchmark's shapes
-        assert graph_block_width(d, m, 120_000) == GRAPH_BLOCK
-    assert graph_block_width(16, 30, 3100) >= 3100  # one block
-    width = graph_block_width(5, 20, 10**6)
-    assert 5 * 20 * width // 2 > 2**20 >= 5 * 20 * width // 4
+def test_wide_graph_build_holds_under_three_rows_beyond_its_output():
+    # a row is longer than GRAPH_TILE, so each tile is one row
+    m, n = 100, 2**16 + 37
+    assert n > GRAPH_TILE
+    view = np.random.default_rng(7).standard_normal((16, n))
+    anchors = view[:, :m].copy()
+    graph, peak = traced_peak(lambda: build_anchor_graph(view, anchors, 2.0))
+    extra = peak - graph.nbytes
+    assert extra < 3 * n * 8, f"{extra / (n * 8):.2f} rows beyond the graph"
 
 
 def test_width_estimate_holds_less_than_one_view():

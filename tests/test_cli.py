@@ -1,5 +1,7 @@
 import contextlib
 import ctypes
+import importlib
+import importlib.util
 import io
 import json
 import re
@@ -251,6 +253,33 @@ def test_non_finite_view_value_exits_2_with_one_json_line(tmp_path, capsys, toke
     record = json.loads(lines[0])
     assert record["error"] == "ValidationError"
     assert "view 1" in record["message"] and "sample 37" in record["message"]
+
+
+def unwritable_out_argv(tmp_path, sub):
+    """Arguments for ``mvtc sub`` whose ``--out`` cannot be written."""
+    missing = str(tmp_path / "missing" / "out.json")
+    if sub == "run":
+        return ["run", "--synthetic", "n=40,c=2,v=1,dims=4,noise=0.1,seed=0",
+                "--anchors", "10", "--out", missing]
+    if sub == "metrics":
+        (tmp_path / "labels.txt").write_text("0\n1\n1\n")
+        labels = str(tmp_path / "labels.txt")
+        return ["metrics", "--pred", labels, "--truth", labels, "--out", missing]
+    (tmp_path / "taken").write_text("")  # a file where the output directory should go
+    return ["gen-synthetic", "--samples", "20", "--clusters", "2",
+            "--out", str(tmp_path / "taken")]
+
+
+@pytest.mark.parametrize("sub", ["run", "metrics", "gen-synthetic"])
+def test_unwritable_out_exits_2_with_one_json_line(tmp_path, capsys, sub):
+    code, _, stderr = run_cli(capsys, *unwritable_out_argv(tmp_path, sub))
+    assert code == 2
+    assert "Traceback" not in stderr
+    lines = stderr.splitlines()
+    assert len(lines) == 1, stderr
+    record = json.loads(lines[0])
+    assert record["error"] in {"FileNotFoundError", "FileExistsError", "NotADirectoryError"}
+    assert record["message"]
 
 
 @pytest.mark.parametrize(
@@ -529,3 +558,19 @@ def test_readme_commands_and_paths_exist(capsys):
         assert stop.value.code == 0, f"README runs 'mvtc {sub}', which is no subcommand"
     capsys.readouterr()
     assert not [p for p in sorted(paths) if not (README.parent / p).exists()]
+
+
+def test_readme_module_references_exist():
+    spans = re.findall(r"`([^`\n]+)`", README.read_text(encoding="utf-8"))
+    modules = {
+        name: importlib.import_module(f"mvtc.{name}")
+        for name in ("anchors", "solver", "tensor_ops", "clustering", "pipeline", "data", "metrics", "cli")
+    }
+    # `anchors.GRAPH_TILE`, `solver.run(...)`: an attribute of that module
+    attributes = [re.match(r"(\w+)\.(\w+)", span) for span in spans]
+    attributes = [ref for ref in attributes if ref and ref[1] in modules]
+    # `mvtc.solver`: a module of the package
+    packages = [ref[1] for ref in (re.fullmatch(r"mvtc\.(\w+)", span) for span in spans) if ref]
+    assert attributes and packages
+    assert not [ref[0] for ref in attributes if not hasattr(modules[ref[1]], ref[2])]
+    assert not [name for name in packages if importlib.util.find_spec(f"mvtc.{name}") is None]
