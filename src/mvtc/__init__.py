@@ -16,7 +16,7 @@ from .anchors import AnchorSet, build_all_graphs, build_anchor_graph, select_anc
 from .clustering import ClusterModel, kmeans_fit
 from .data import MultiViewDataset, generate_synthetic, load_dataset, save_dataset
 from .metrics import clustering_scores
-from .pipeline import PipelineConfig, RunReport, run_pipeline, solver_scale_bench
+from .pipeline import PipelineConfig, RunReport, run_pipeline
 from .solver import SolverConfig, SolverState
 from .solver import run as solve
 
@@ -39,5 +39,4 @@ __all__ = [
     "save_dataset",
     "select_anchors",
     "solve",
-    "solver_scale_bench",
 ]

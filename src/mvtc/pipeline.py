@@ -65,6 +65,24 @@ class PipelineConfig:
     no_igs: bool = False   # skip low-frequency smoothing (tensor passes through)
     threads: int | None = None
 
+    def __post_init__(self):
+        """Check the integer fields that :class:`SolverConfig` does not.
+
+        ``n_clusters``, ``embed_dim`` and ``n_anchors`` must be integers
+        (their ranges depend on the data and are checked at the run);
+        ``restarts`` and ``threads`` must be integers of at least 1.  A bool
+        is not an integer here.  ``None`` keeps a field's fallback.
+        """
+        for name, least in (("n_clusters", None), ("embed_dim", None), ("n_anchors", None),
+                            ("restarts", 1), ("threads", 1)):
+            value = getattr(self, name)
+            if value is None and name != "restarts":
+                continue
+            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                    or (least is not None and value < least)):
+                want = "an integer" if least is None else f"an integer >= {least}"
+                raise ValidationError(f"{name} must be {want}, got {value!r}")
+
 
 @dataclass
 class RunReport:
@@ -113,8 +131,6 @@ def _cluster(dataset: MultiViewDataset, config: PipelineConfig, out_path) -> Run
         raise ValidationError(f"cluster count must be at least 1, got {n_clusters}")
     embed_dim = config.embed_dim if config.embed_dim is not None else n_clusters
     n_anchors = config.n_anchors if config.n_anchors is not None else min(DEFAULT_ANCHORS, n)
-    if config.restarts < 1:
-        raise ValidationError("restarts must be at least 1")
     # built with the given beta, so that --no-isc does not skip its check
     solver_cfg = SolverConfig(
         embed_dim=embed_dim,
@@ -215,83 +231,14 @@ def _best_kmeans(state: SolverState, n_clusters: int, config: PipelineConfig) ->
     return best
 
 
-def solver_scale_bench(n_values: list[int]) -> dict:
-    """Per-iteration solver wall-clock across sample counts.
-
-    Anchor graphs are synthesized directly (entries in (0, 1]) so the
-    measurement isolates the solver: 3 views of 200 anchors each, a
-    10-dimensional embedding and 3 iterations, all from seed 0.
-    Per-iteration time is the best of 3 full solves divided by the
-    iteration count, after one discarded warmup solve (BLAS pools,
-    allocator, and CPU clocks need a run to settle).  Each repeat solves
-    every sample count once, in turn.  The solves take
-    :class:`SolverConfig`'s default ``lam``, ``beta`` and ``low_freq``.
-    Consecutive ratios ~2 for doubled N confirm the expected linear scaling.
-
-    The solves run on one BLAS thread: a threaded pool adds a per-call
-    cost that does not grow with N and varies on a busy host.
-    """
-    n_anchors, embed_dim, n_views, iters, seed, repeats = 200, 10, 3, 3, 0, 3
-
-    def make_graphs(n: int) -> list[np.ndarray]:
-        rng = np.random.default_rng(seed)
-        return [1.0 - rng.random((n_anchors, n)) for _ in range(n_views)]
-
-    def solve(graphs: list[np.ndarray]):
-        cfg = SolverConfig(embed_dim=embed_dim, max_iters=iters, seed=seed)
-        t0 = time.perf_counter()
-        state = solver_run(graphs, cfg)
-        return state, time.perf_counter() - t0
-
-    with _thread_cap(1):
-        graphs = [make_graphs(n) for n in n_values]
-        solve(graphs[n_values.index(min(n_values))])  # warmup, discarded
-        best = [float("inf")] * len(n_values)
-        iterations = [0] * len(n_values)
-        # repeats outermost, so a drift in host speed reaches every count alike
-        for _ in range(repeats):
-            for i, g in enumerate(graphs):
-                state, elapsed = solve(g)
-                best[i] = min(best[i], elapsed)
-                iterations[i] = state.iterations
-    runs = [
-        {
-            "n_samples": int(n),
-            "iterations": int(it),
-            "solve_s": t,
-            "per_iteration_s": t / it,
-        }
-        for n, it, t in zip(n_values, iterations, best)
-    ]
-    ratios = [
-        {
-            "n_from": runs[i - 1]["n_samples"],
-            "n_to": runs[i]["n_samples"],
-            "per_iteration_ratio": runs[i]["per_iteration_s"] / runs[i - 1]["per_iteration_s"],
-        }
-        for i in range(1, len(runs))
-    ]
-    return {
-        "n_anchors": n_anchors,
-        "embed_dim": embed_dim,
-        "n_views": n_views,
-        "iters": iters,
-        "seed": seed,
-        "runs": runs,
-        "ratios": ratios,
-    }
-
-
 @contextmanager
 def _thread_cap(threads: int | None):
-    """Run the block with each bundled OpenBLAS copy on ``threads`` threads.
+    """Run the block with each bundled OpenBLAS copy on ``threads`` (>= 1) threads.
 
     numpy and scipy each bundle one (products run on numpy's, Cholesky on
     scipy's); counts are set through ctypes and restored on exit.  ``None``,
     or a build linked against another BLAS, leaves the pools as they are.
     """
-    if threads is not None and threads < 1:
-        raise ValidationError(f"thread cap must be positive, got {threads}")
     restore = []
     for package, pattern, suffix in _OPENBLAS if threads is not None else ():
         for path in sorted(Path(package.__file__).resolve().parent.parent.glob(pattern))[:1]:

@@ -62,7 +62,8 @@ class SolverConfig:
     always runs the full ``max_iters`` iterations.  The settings are checked
     here, before any work: ``embed_dim`` at least 2, ``lam``, ``beta`` and
     ``early_stop_tol`` finite and non-negative, ``max_iters`` and ``seed``
-    integers >= 0.  ``low_freq`` depends on N, so :func:`run` checks it.
+    integers >= 0 (a bool is not one).  ``low_freq`` depends on N, so
+    :func:`run` checks it.
     """
 
     embed_dim: int
@@ -83,7 +84,7 @@ class SolverConfig:
                 raise ValidationError(f"{name} must be finite and non-negative, got {value}")
         for name in ("max_iters", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 0:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
                 raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
 
 
@@ -147,17 +148,6 @@ def _unit_variance_template(k: int) -> np.ndarray:
     t[1::2] = -1.0
     t -= t.mean()  # centering only matters for odd k
     return t / t.std(ddof=1)
-
-
-def stack_views(embeddings: list[np.ndarray]) -> np.ndarray:
-    """Stack V matrices of shape (K, N) into a (K, V, N) tensor."""
-    if not embeddings:
-        raise ShapeMismatch("need at least one embedding")
-    shape = embeddings[0].shape
-    for i, e in enumerate(embeddings):
-        if e.shape != shape:
-            raise ShapeMismatch(f"embedding {i} has shape {e.shape}, expected {shape}")
-    return np.stack(embeddings, axis=1)
 
 
 def ridge_system(graph: np.ndarray, lam: float) -> np.ndarray:
@@ -278,37 +268,27 @@ def _pairwise_gap_sum(a: np.ndarray, b: np.ndarray, buf: np.ndarray) -> float:
 
 def objective_value(
     state: SolverState,
-    graphs: list[np.ndarray],
     cfg: SolverConfig,
     *,
-    fits: list[float] | None = None,
-    stacked: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
+    fits: list[float],
+    stacked: np.ndarray,
+    scratch: np.ndarray,
 ) -> float:
     """Sum of ridge, fit, consensus, and smoothing-coupling terms.
 
     The smoothing penalty itself scores 0 whenever the low-frequency
     tensor is feasible (it always is after :func:`lowfreq_truncate`), so
     only the quadratic coupling ||B - Y||^2 / 2 appears here.  ``fits``
-    holds each view's ||B_v - U_v phi_v||^2 and ``stacked`` the (K, V, N)
-    tensor whose slices are ``state.embeddings``, when the caller has them;
-    either is formed here when omitted.  ``scratch`` is a K x N buffer for
-    each view's fit and gap in turn, and for the coupling term's parts
-    (allocated here when omitted).
+    holds each view's ||B_v - U_v phi_v||^2, ``stacked`` is the (K, V, N)
+    tensor whose slices are ``state.embeddings``, and ``scratch`` is a
+    K x N buffer for each view's consensus gap in turn and for the coupling
+    term's parts.
     """
-    if scratch is None:
-        scratch = np.empty(state.consensus.shape)
     total = 0.0
-    for v, (u, b, phi) in enumerate(zip(state.projections, state.embeddings, graphs)):
+    for u, b, fit in zip(state.projections, state.embeddings, fits):
         total += 0.5 * cfg.lam * float(np.sum(u * u))
-        if fits is None:
-            fit = _squared_distance(b, np.matmul(u, phi, out=scratch), scratch)
-        else:
-            fit = fits[v]
         total += 0.5 * fit
         total += 0.5 * cfg.beta * _squared_distance(state.consensus, b, scratch)
-    if stacked is None:
-        stacked = stack_views(state.embeddings)
     coupling = _pairwise_gap_sum(
         stacked.reshape(-1), state.lowfreq_tensor.reshape(-1),
         scratch.reshape(-1)[:COUPLING_BLOCK],
@@ -360,7 +340,7 @@ def run(
     fits = [0.0] * n_views
 
     trace: list[float] = []
-    state = SolverState(projections, embeddings, consensus, lowfreq, 0, trace)
+    state = SolverState(projections, embeddings, consensus, lowfreq)
     for t in range(cfg.max_iters):
         del state  # the last snapshot would keep last iteration's arrays alive
         previous_consensus = consensus if cfg.early_stop_tol > 0 else None
@@ -387,15 +367,12 @@ def run(
         consensus = update_consensus(embeddings)
         # shallow list copies: later iterations refill the lists, and callback
         # holders expect a consistent per-iteration snapshot
-        state = SolverState(
-            list(projections), list(embeddings), consensus, lowfreq, t + 1, trace
-        )
-        objective = objective_value(
-            state, graphs, cfg, fits=fits, stacked=stacked, scratch=product
-        )
+        state = SolverState(list(projections), list(embeddings), consensus, lowfreq, t + 1)
+        objective = objective_value(state, cfg, fits=fits, stacked=stacked, scratch=product)
         if not np.isfinite(objective):
             raise SingularSystem(f"objective is {objective} at iteration {t + 1}")
         trace.append(objective)
+        state.objective_trace = list(trace)  # a snapshot's trace, like its arrays, stays put
         del stacked  # the embeddings hold it until the next projections
         if callback is not None:
             callback(state)

@@ -204,11 +204,3 @@ def _truncate_dft(b: np.ndarray, keep: int) -> np.ndarray:
             out=cols,
         )
     return out
-
-
-def kept_slice_indices(depth: int, keep: int) -> np.ndarray:
-    """0-based spectrum slice indices retained by ``lowfreq_truncate``."""
-    check_low_freq(depth, keep)
-    low = np.arange(keep)
-    high = depth - np.arange(1, keep)
-    return np.unique(np.concatenate([low, high]))

@@ -51,6 +51,11 @@ def identity_tensor(n, depth):
     return out
 
 
+def kept_slice_indices(depth, keep):
+    """0-based spectrum slice indices retained by ``lowfreq_truncate``."""
+    return np.unique(np.concatenate([np.arange(keep), depth - np.arange(1, keep)]))
+
+
 def anchor_graph_unblocked(view, anchors, sigma):
     """RBF anchor graph from one full M x N Gram expansion.
 

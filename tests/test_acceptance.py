@@ -16,15 +16,14 @@ from mvtc import (
     SolverConfig,
     generate_synthetic,
     run_pipeline,
-    solver_scale_bench,
 )
 from mvtc.cli import main as cli_main
 from mvtc.clustering import kmeans_fit
 from mvtc.metrics import accuracy, ari, pairwise_prf
+from mvtc.pipeline import _thread_cap
 from mvtc.solver import (
     ridge_system,
     run as solver_run,
-    stack_views,
     update_consensus,
     update_embedding,
     update_projection,
@@ -231,10 +230,43 @@ def test_criterion_07_kmeans_toy_optimality():
     announce(7, "k-means toy-scale optimality")
 
 
+def solver_doubling_ratio():
+    """Per-iteration solver time at N = 20,000 over that at N = 10,000.
+
+    Anchor graphs are synthesized directly (entries in (0, 1]), so the
+    measurement isolates the solver: 3 views of 200 anchors each, drawn from
+    one seed-0 generator per sample count, a 10-dimensional embedding and 3
+    iterations with :class:`SolverConfig`'s default ``lam``, ``beta`` and
+    ``low_freq``.  Each count takes the best of 3 solves, after one discarded
+    warm-up solve (BLAS pools, allocator and CPU clocks need a run to
+    settle).  The solves run on one BLAS thread: a threaded pool adds a
+    per-call cost that does not grow with N and varies on a busy host.
+    """
+    cfg = SolverConfig(embed_dim=10, max_iters=3, seed=0)
+
+    def make_graphs(n):
+        rng = np.random.default_rng(0)
+        return [1.0 - rng.random((200, n)) for _ in range(3)]
+
+    def per_iteration_s(graphs):
+        t0 = time.perf_counter()
+        state = solver_run(graphs, cfg)
+        return (time.perf_counter() - t0) / state.iterations
+
+    with _thread_cap(1):
+        graph_sets = [make_graphs(10_000), make_graphs(20_000)]
+        per_iteration_s(graph_sets[0])  # warm-up, discarded
+        best = [float("inf")] * len(graph_sets)
+        # repeats outermost, so a drift in host speed reaches both counts alike
+        for _ in range(3):
+            for i, graphs in enumerate(graph_sets):
+                best[i] = min(best[i], per_iteration_s(graphs))
+    return best[1] / best[0]
+
+
 def test_criterion_08_linear_scaling_and_allocation_audit():
     start = time.perf_counter()
-    result = solver_scale_bench([10_000, 20_000])
-    ratio = result["ratios"][0]["per_iteration_ratio"]
+    ratio = solver_doubling_ratio()
     assert 1.6 <= ratio <= 2.6, f"per-iteration time ratio {ratio:.2f}"
     # allocation audit: nothing close to an N x N buffer may ever exist
     n = 1500

@@ -13,9 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mvtc
 from mvtc import pipeline
 from mvtc.cli import main
 from mvtc.data import generate_synthetic, load_dataset, save_dataset
+from mvtc.errors import ValidationError
 from mvtc.pipeline import PRESETS, PipelineConfig, RunReport, run_pipeline
 from mvtc.solver import SolverConfig
 
@@ -207,6 +209,27 @@ def test_malformed_flag_values_exit_cleanly(argv, capsys):
     assert len(lines) == 1, err
     record = json.loads(lines[0])
     assert record["error"] and record["message"]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_iters", True),  # a bool is no iteration count
+        ("seed", False),
+        ("n_clusters", 3.0),
+        ("embed_dim", 3.5),
+        ("n_anchors", 2.5),
+        ("n_anchors", True),
+        ("restarts", 2.5),
+        ("restarts", 0),
+        ("threads", 1.5),
+        ("threads", 0),
+    ],
+)
+def test_bad_config_values_raise_validation_error(field, value):
+    dataset = generate_synthetic(40, 2, 2, [4, 5], noise=0.1, seed=0)
+    with pytest.raises(ValidationError, match=field):
+        run_pipeline(dataset, PipelineConfig(**{field: value}))
 
 
 def test_validation_error_exit_code_and_record(capsys):
@@ -569,8 +592,11 @@ def test_readme_module_references_exist():
     # `anchors.GRAPH_TILE`, `solver.run(...)`: an attribute of that module
     attributes = [re.match(r"(\w+)\.(\w+)", span) for span in spans]
     attributes = [ref for ref in attributes if ref and ref[1] in modules]
-    # `mvtc.solver`: a module of the package
-    packages = [ref[1] for ref in (re.fullmatch(r"mvtc\.(\w+)", span) for span in spans) if ref]
+    # `mvtc.solver`, `mvtc.run_pipeline(...)`: a module or an attribute of the package
+    packages = [ref[1] for ref in (re.match(r"mvtc\.(\w+)", span) for span in spans) if ref]
     assert attributes and packages
     assert not [ref[0] for ref in attributes if not hasattr(modules[ref[1]], ref[2])]
-    assert not [name for name in packages if importlib.util.find_spec(f"mvtc.{name}") is None]
+    assert not [
+        name for name in packages
+        if not hasattr(mvtc, name) and importlib.util.find_spec(f"mvtc.{name}") is None
+    ]

@@ -22,15 +22,19 @@ from mvtc.solver import (
     objective_value,
     ridge_system,
     run,
-    stack_views,
     update_consensus,
     update_embedding,
     update_projection,
     zscore_normalize_columns,
 )
-from mvtc.tensor_ops import fft_mode3, kept_slice_indices, lowfreq_truncate
+from mvtc.tensor_ops import fft_mode3, lowfreq_truncate
 
-from oracles import _zscore_reference, lowfreq_truncate_bruteforce, solver_run_reference
+from oracles import (
+    _zscore_reference,
+    kept_slice_indices,
+    lowfreq_truncate_bruteforce,
+    solver_run_reference,
+)
 
 
 def random_graphs(n_views, m, n, seed):
@@ -121,40 +125,6 @@ def test_zscore_blocks_are_bit_equal_to_whole_matrix_statistics():
     np.testing.assert_array_equal(zscore_normalize_columns(mat), want)
     zscore_normalize_columns(mat, out=mat)
     np.testing.assert_array_equal(mat, want)
-
-
-# ---------------------------------------------------------------------------
-# stacking
-
-
-def test_stack_single_view():
-    b = np.arange(6.0).reshape(2, 3)
-    t = stack_views([b])
-    np.testing.assert_array_equal(t[:, 0, :], b)
-
-
-def test_stack_unstack_round_trip():
-    rng = np.random.default_rng(2)
-    mats = [rng.standard_normal((4, 6)) for _ in range(3)]
-    t = stack_views(mats)
-    for v, m in enumerate(mats):
-        np.testing.assert_array_equal(t[:, v, :], m)
-
-
-def test_stack_index_formula():
-    b1 = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    b2 = np.array([[7.0, 8.0, 9.0], [10.0, 11.0, 12.0]])
-    t = stack_views([b1, b2])
-    assert t.shape == (2, 2, 3)
-    for k in range(2):
-        for n in range(3):
-            assert t[k, 0, n] == b1[k, n]
-            assert t[k, 1, n] == b2[k, n]
-
-
-def test_stack_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
-        stack_views([np.zeros((2, 3)), np.zeros((2, 4))])
 
 
 # ---------------------------------------------------------------------------
@@ -309,15 +279,15 @@ def test_embedding_matches_two_step_oracle():
 def test_lowfreq_update_full_band_returns_stack():
     rng = np.random.default_rng(10)
     mats = [rng.standard_normal((2, 7)) for _ in range(3)]
-    out = lowfreq_truncate(stack_views(mats), keep=4)  # (7+1)//2 == full band
-    np.testing.assert_allclose(out, stack_views(mats), atol=1e-12)
+    out = lowfreq_truncate(np.stack(mats, axis=1), keep=4)  # (7+1)//2 == full band
+    np.testing.assert_allclose(out, np.stack(mats, axis=1), atol=1e-12)
 
 
 def test_lowfreq_update_dc_only_gives_mean_slice():
     rng = np.random.default_rng(11)
     mats = [rng.standard_normal((2, 6)) for _ in range(2)]
-    out = lowfreq_truncate(stack_views(mats), keep=1)
-    mean_slice = stack_views(mats).mean(axis=2)
+    out = lowfreq_truncate(np.stack(mats, axis=1), keep=1)
+    mean_slice = np.stack(mats, axis=1).mean(axis=2)
     for n in range(6):
         np.testing.assert_allclose(out[:, :, n], mean_slice, atol=1e-12)
 
@@ -325,8 +295,8 @@ def test_lowfreq_update_dc_only_gives_mean_slice():
 def test_lowfreq_update_matches_bruteforce():
     rng = np.random.default_rng(12)
     mats = [rng.standard_normal((2, 6)) for _ in range(3)]
-    expected = lowfreq_truncate_bruteforce(stack_views(mats), 2)
-    np.testing.assert_allclose(lowfreq_truncate(stack_views(mats), 2), expected, atol=1e-12)
+    expected = lowfreq_truncate_bruteforce(np.stack(mats, axis=1), 2)
+    np.testing.assert_allclose(lowfreq_truncate(np.stack(mats, axis=1), 2), expected, atol=1e-12)
 
 
 def test_consensus_of_identical_embeddings():
@@ -359,6 +329,17 @@ def test_consensus_matches_mean_then_normalize_oracle():
 # objective
 
 
+def score(state, graphs, cfg):
+    """``objective_value`` of any state, with the arguments that ``run`` forms."""
+    fits = [
+        float(np.sum(np.square(b - u @ phi)))
+        for u, b, phi in zip(state.projections, state.embeddings, graphs)
+    ]
+    stacked = np.stack(state.embeddings, axis=1)
+    scratch = np.empty(state.consensus.shape)
+    return objective_value(state, cfg, fits=fits, stacked=stacked, scratch=scratch)
+
+
 def make_state(graphs, cfg, seed=0):
     rng = np.random.default_rng(seed)
     k = cfg.embed_dim
@@ -368,7 +349,7 @@ def make_state(graphs, cfg, seed=0):
     ]
     projections = [rng.standard_normal((k, g.shape[0])) for g in graphs]
     consensus = update_consensus(embeddings)
-    lowfreq = lowfreq_truncate(stack_views(embeddings), cfg.low_freq)
+    lowfreq = lowfreq_truncate(np.stack(embeddings, axis=1), cfg.low_freq)
     return SolverState(projections, embeddings, consensus, lowfreq, 0, [])
 
 
@@ -380,12 +361,12 @@ def test_objective_zero_at_perfect_fit():
         projections=[b],
         embeddings=[b],
         consensus=b,
-        lowfreq_tensor=stack_views([b]),
+        lowfreq_tensor=np.stack([b], axis=1),
         iterations=0,
         objective_trace=[],
     )
     cfg = SolverConfig(embed_dim=3, lam=0.0, beta=0.0, low_freq=3)
-    assert objective_value(state, [phi], cfg) == pytest.approx(0.0, abs=1e-20)
+    assert score(state, [phi], cfg) == pytest.approx(0.0, abs=1e-20)
 
 
 def test_objective_linear_in_beta():
@@ -396,7 +377,7 @@ def test_objective_linear_in_beta():
     consensus_term = sum(
         0.5 * float(np.sum((state.consensus - b) ** 2)) for b in state.embeddings
     )
-    diff = objective_value(state, graphs, cfg2) - objective_value(state, graphs, cfg1)
+    diff = score(state, graphs, cfg2) - score(state, graphs, cfg1)
     assert diff == pytest.approx(consensus_term, rel=1e-12)
 
 
@@ -409,8 +390,8 @@ def test_objective_matches_term_by_term_oracle():
         expected += 0.5 * cfg.lam * np.linalg.norm(u, "fro") ** 2
         expected += 0.5 * np.linalg.norm(b - u @ phi, "fro") ** 2
         expected += 0.5 * cfg.beta * np.linalg.norm(state.consensus - b, "fro") ** 2
-    expected += 0.5 * np.linalg.norm(stack_views(state.embeddings) - state.lowfreq_tensor) ** 2
-    got = objective_value(state, graphs, cfg)
+    expected += 0.5 * np.linalg.norm(np.stack(state.embeddings, axis=1) - state.lowfreq_tensor) ** 2
+    got = score(state, graphs, cfg)
     assert got == pytest.approx(expected, rel=1e-10)
 
 
@@ -432,7 +413,7 @@ def test_each_update_does_not_increase_objective():
     graphs = random_graphs(3, 6, 14, seed=21)
     cfg = SolverConfig(embed_dim=4, lam=0.2, beta=0.5, low_freq=4)
     state = run(graphs, cfg)
-    base = objective_value(state, graphs, cfg)
+    base = score(state, graphs, cfg)
 
     # projection refresh is the exact ridge minimizer
     proj = [
@@ -442,7 +423,7 @@ def test_each_update_does_not_increase_objective():
     after_proj = SolverState(
         proj, state.embeddings, state.consensus, state.lowfreq_tensor, 0, []
     )
-    assert objective_value(after_proj, graphs, cfg) <= base + 1e-9 * base
+    assert score(after_proj, graphs, cfg) <= base + 1e-9 * base
 
     # unconstrained embedding minimizer (before re-normalization)
     raw = [
@@ -453,23 +434,23 @@ def test_each_update_does_not_increase_objective():
     after_raw = SolverState(
         state.projections, raw, state.consensus, state.lowfreq_tensor, 0, []
     )
-    assert objective_value(after_raw, graphs, cfg) <= base + 1e-9 * base
+    assert score(after_raw, graphs, cfg) <= base + 1e-9 * base
 
     # unconstrained consensus minimizer
     mean = sum(state.embeddings) / len(state.embeddings)
     after_mean = SolverState(
         state.projections, state.embeddings, mean, state.lowfreq_tensor, 0, []
     )
-    assert objective_value(after_mean, graphs, cfg) <= base + 1e-9 * base
+    assert score(after_mean, graphs, cfg) <= base + 1e-9 * base
 
     # smoothing refresh is the exact feasible minimizer of the coupling
-    stacked = stack_views(state.embeddings)
+    stacked = np.stack(state.embeddings, axis=1)
     refreshed = lowfreq_truncate(stacked, cfg.low_freq)
     rng = np.random.default_rng(22)
     gap = np.linalg.norm(stacked - refreshed)
     for _ in range(5):
         member = lowfreq_truncate(
-            stack_views([rng.standard_normal(b.shape) for b in state.embeddings]),
+            np.stack([rng.standard_normal(b.shape) for b in state.embeddings], axis=1),
             cfg.low_freq,
         )
         assert gap <= np.linalg.norm(stacked - member) + 1e-10
@@ -512,8 +493,8 @@ def test_run_identical_graphs_stay_symmetric_across_views():
 
 
 def test_run_snapshots_keep_their_own_arrays():
-    # each iteration writes into fresh arrays, so a kept snapshot never
-    # changes under later iterations
+    # each iteration writes into fresh arrays and hands out a trace of its
+    # own, so a kept snapshot never changes under later iterations
     graphs = random_graphs(3, 6, 16, seed=34)
 
     def arrays(state):
@@ -521,12 +502,19 @@ def test_run_snapshots_keep_their_own_arrays():
 
     for smooth in (True, False):
         kept = []
-        run(graphs, SolverConfig(embed_dim=4, low_freq=4, smooth_embeddings=smooth),
-            callback=lambda s: kept.append((s, [a.copy() for a in arrays(s)])))
-        assert [s.iterations for s, _ in kept] == list(range(1, 8))
-        for state, copies in kept:
+        final = run(
+            graphs, SolverConfig(embed_dim=4, low_freq=4, smooth_embeddings=smooth),
+            callback=lambda s: kept.append(
+                (s, [a.copy() for a in arrays(s)], list(s.objective_trace))
+            ),
+        )
+        assert [s.iterations for s, _, _ in kept] == list(range(1, 8))
+        for state, copies, trace in kept:
             for a, c in zip(arrays(state), copies, strict=True):
                 np.testing.assert_array_equal(a, c)
+            assert len(state.objective_trace) == state.iterations
+            assert state.objective_trace == trace
+            assert trace == final.objective_trace[:state.iterations]
 
 
 def test_run_deterministic_under_seed():
@@ -606,23 +594,7 @@ def test_run_smoothing_disabled_passes_tensor_through():
     graphs = random_graphs(2, 6, 10, seed=30)
     cfg = SolverConfig(embed_dim=3, low_freq=3, smooth_embeddings=False, seed=5)
     state = run(graphs, cfg)
-    np.testing.assert_array_equal(state.lowfreq_tensor, stack_views(state.embeddings))
-
-
-def test_run_holds_few_embedding_tensors_beyond_its_graphs():
-    # Live K x V x N data: the embeddings, the low-frequency tensor and the
-    # consensus; the truncation briefly adds the stack, its spectrum and
-    # the transform's output.  Last iteration's arrays must not stay alive.
-    k, n_views, n = 4, 3, 20_000
-    graphs = random_graphs(n_views, 40, n, seed=31)
-    tracemalloc.start()
-    try:
-        run(graphs, SolverConfig(embed_dim=k, low_freq=8, max_iters=4))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    tensor_bytes = k * n_views * n * 8
-    assert peak < 5 * tensor_bytes, f"{peak / tensor_bytes:.2f} K x V x N tensors"
+    np.testing.assert_array_equal(state.lowfreq_tensor, np.stack(state.embeddings, axis=1))
 
 
 def test_run_holds_under_four_embedding_tensors_beyond_its_graphs():
