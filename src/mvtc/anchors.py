@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import check_views
-from .errors import DegenerateView, DimensionMismatch, TooManyAnchors, ValidationError
+from .errors import DegenerateView, DimensionMismatch, TooManyAnchors, ValidationError, check_real
 
 # Kernel-width estimation averages at most this many (sample, anchor) pairs,
 # gathered this many at a time.
@@ -107,8 +107,7 @@ def build_anchor_graph(view: np.ndarray, anchors: np.ndarray, sigma: float) -> n
     ``GRAPH_TILE`` entries, or one row when a row is longer.  Beyond the
     output, only two tile buffers and the squared norms are held.
     """
-    if not 0 < sigma < np.inf:
-        raise ValidationError(f"kernel width must be positive and finite, got {sigma}")
+    check_real("kernel width", sigma, positive=True)
     view = np.asarray(view, dtype=float)
     anchors = np.asarray(anchors, dtype=float)
     if view.shape[0] != anchors.shape[0]:
@@ -154,16 +153,12 @@ def select_anchors(
     if kernel_width is None:
         sigmas = [estimate_kernel_width(v, a, seed=seed) for v, a in zip(views, anchor_cols)]
     else:
-        if np.isscalar(kernel_width):
-            sigmas = [float(kernel_width)] * len(views)
-        else:
-            sigmas = [float(s) for s in kernel_width]
-            if len(sigmas) != len(views):
-                raise ValidationError(
-                    f"got {len(sigmas)} kernel widths for {len(views)} views"
-                )
-        if not all(0 < s < np.inf for s in sigmas):
-            raise ValidationError(f"kernel widths must be positive and finite, got {sigmas}")
+        sigmas = [kernel_width] * len(views) if np.ndim(kernel_width) == 0 else list(kernel_width)
+        if len(sigmas) != len(views):
+            raise ValidationError(f"got {len(sigmas)} kernel widths for {len(views)} views")
+        for s in sigmas:
+            check_real("kernel_width", s, positive=True)
+        sigmas = [float(s) for s in sigmas]
     return AnchorSet(indices=indices, anchors_per_view=anchor_cols, sigma_per_view=sigmas)
 
 

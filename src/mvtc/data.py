@@ -39,7 +39,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, MissingFile, ParseError, ValidationError
+from .errors import (DimensionMismatch, MissingFile, ParseError, ValidationError, check_int,
+                     check_real)
 
 BIN_MAGIC = b"MVTCBIN1"
 _ORIENTATIONS = ("samples", "features")
@@ -103,15 +104,17 @@ def generate_synthetic(
     same-cluster columns of a view are identical.  ``dims=None`` gives
     every view 16 features.
     """
+    for arg, value in (("n_samples", n_samples), ("n_clusters", n_clusters), ("n_views", n_views)):
+        check_int(arg, value, 1)
     dims = [16] * n_views if dims is None else dims
-    if len(dims) != n_views or min(dims, default=1) < 1:
-        raise ValidationError(f"need a dim of at least 1 for each of {n_views} views, got {dims}")
-    if not 0.0 <= noise < np.inf:
-        raise ValidationError(f"noise must be finite and non-negative, got {noise}")
+    if len(dims) != n_views:
+        raise ValidationError(f"need one dim for each of {n_views} views, got {dims}")
+    for d in dims:
+        check_int("each dim", d, 1)
+    check_real("noise", noise)
     if not 1 <= n_clusters <= n_samples:
         raise ValidationError(f"cannot split {n_samples} samples into {n_clusters} clusters")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     latent_dim = max(2, n_clusters)
     centers = rng.standard_normal((latent_dim, n_clusters))
@@ -169,8 +172,8 @@ def load_dataset(manifest_path) -> MultiViewDataset:
     ):
         raise ValidationError(f"manifest {manifest_path}: 'views' must list objects with a 'path'")
     n_clusters = manifest.get("n_clusters")
-    if n_clusters is not None and type(n_clusters) is not int:  # a bool is no count
-        raise ValidationError(f"manifest {manifest_path}: 'n_clusters' must be an integer")
+    if n_clusters is not None:
+        check_int(f"manifest {manifest_path}: 'n_clusters'", n_clusters)
     labels_rel = manifest.get("labels_path")
     if labels_rel is not None and not isinstance(labels_rel, str):
         raise ValidationError(f"manifest {manifest_path}: 'labels_path' must be a string")

@@ -5,6 +5,9 @@ CLI exit code 2) and numerical errors (a computation could not produce a
 trustworthy result; CLI exit code 3).
 """
 
+import math
+import numbers
+
 
 class ValidationError(Exception):
     """Invalid input shape, length, file, or configuration."""
@@ -64,3 +67,19 @@ class DegenerateView(NumericalError):
 
 class SingularSystem(NumericalError):
     """Ridge system not finite, or unsolvable within tolerance even via pseudo-inverse."""
+
+
+def check_int(name, value, least=None, error=ValidationError):
+    """Raise ``error`` unless ``value`` is an integer (not a bool) >= ``least``, if given."""
+    if type(value) is bool or not isinstance(value, numbers.Integral) or (
+            least is not None and value < least):
+        at_least = "" if least is None else f" of at least {least}"
+        raise error(f"{name} must be an integer{at_least}, got {value!r}")
+
+
+def check_real(name, value, *, positive=False):
+    """Raise ValidationError unless ``value`` is a finite, non-bool real >= 0 (> 0 if positive)."""
+    if (type(value) is bool or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value < 0 or (positive and value == 0)):
+        sign = "positive" if positive else "non-negative"
+        raise ValidationError(f"{name} must be a finite {sign} number, got {value!r}")

@@ -23,9 +23,9 @@ from . import __version__
 from .anchors import build_all_graphs, select_anchors
 from .clustering import ClusterModel, kmeans_fit
 from .data import MultiViewDataset
-from .errors import ValidationError
+from .errors import ValidationError, check_int
 from .metrics import clustering_scores
-from .solver import SolverConfig, SolverState, run as solver_run
+from .solver import SolverConfig, run as solver_run
 
 DEFAULT_ANCHORS = 1000  # clamped to N on smaller datasets
 
@@ -68,20 +68,14 @@ class PipelineConfig:
     def __post_init__(self):
         """Check the integer fields that :class:`SolverConfig` does not.
 
-        ``n_clusters``, ``embed_dim`` and ``n_anchors`` must be integers
-        (their ranges depend on the data and are checked at the run);
-        ``restarts`` and ``threads`` must be integers of at least 1.  A bool
-        is not an integer here.  ``None`` keeps a field's fallback.
+        The ranges of ``n_clusters``, ``embed_dim`` and ``n_anchors`` depend
+        on the data and are checked at the run.  ``None`` keeps a fallback.
         """
         for name, least in (("n_clusters", None), ("embed_dim", None), ("n_anchors", None),
-                            ("restarts", 1), ("threads", 1)):
-            value = getattr(self, name)
-            if value is None and name != "restarts":
-                continue
-            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-                    or (least is not None and value < least)):
-                want = "an integer" if least is None else f"an integer >= {least}"
-                raise ValidationError(f"{name} must be {want}, got {value!r}")
+                            ("threads", 1)):
+            if getattr(self, name) is not None:
+                check_int(name, getattr(self, name), least)
+        check_int("restarts", self.restarts, 1)
 
 
 @dataclass
@@ -127,8 +121,7 @@ def _cluster(dataset: MultiViewDataset, config: PipelineConfig, out_path) -> Run
     n_clusters = config.n_clusters if config.n_clusters is not None else dataset.n_clusters
     if n_clusters is None:
         raise ValidationError("cluster count unknown: set it in the config or manifest")
-    if n_clusters < 1:
-        raise ValidationError(f"cluster count must be at least 1, got {n_clusters}")
+    check_int("n_clusters", n_clusters, 1)
     embed_dim = config.embed_dim if config.embed_dim is not None else n_clusters
     n_anchors = config.n_anchors if config.n_anchors is not None else min(DEFAULT_ANCHORS, n)
     # built with the given beta, so that --no-isc does not skip its check
@@ -157,9 +150,12 @@ def _cluster(dataset: MultiViewDataset, config: PipelineConfig, out_path) -> Run
     t0 = time.perf_counter()
     state = solver_run(graphs, solver_cfg)
     solve_s = time.perf_counter() - t0
+    # k-means reads only the consensus.  The state is kept: freeing its
+    # tensors here made k-means fault their pages back in.
+    del graphs
 
     t0 = time.perf_counter()
-    model = _best_kmeans(state, n_clusters, config)
+    model = _best_kmeans(state.consensus, n_clusters, config)
     kmeans_s = time.perf_counter() - t0
 
     labels_pred = np.empty_like(model.labels)
@@ -182,11 +178,11 @@ def _cluster(dataset: MultiViewDataset, config: PipelineConfig, out_path) -> Run
             "n_clusters": int(n_clusters),
             "embed_dim": int(embed_dim),
             "n_anchors": int(n_anchors),
-            "lam": config.lam,
-            "beta": solver_cfg.beta,
+            "lam": float(config.lam),
+            "beta": float(solver_cfg.beta),
             "low_freq": int(config.low_freq),
             "max_iters": int(config.max_iters),
-            "early_stop_tol": config.early_stop_tol,
+            "early_stop_tol": float(config.early_stop_tol),
             "restarts": int(config.restarts),
             "kernel_width_per_view": [float(s) for s in kernel_widths],
             "no_isc": bool(config.no_isc),
@@ -209,9 +205,8 @@ def _cluster(dataset: MultiViewDataset, config: PipelineConfig, out_path) -> Run
             "scipy": scipy.__version__,
         },
     )
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+    if out_path is not None:  # the text is formed before the file is opened
+        Path(out_path).write_text(report.to_json(), encoding="utf-8")
     return report
 
 
@@ -221,11 +216,11 @@ def sample_norm_order(views: list[np.ndarray]) -> np.ndarray:
     return np.argsort(norms, kind="stable")
 
 
-def _best_kmeans(state: SolverState, n_clusters: int, config: PipelineConfig) -> ClusterModel:
+def _best_kmeans(consensus: np.ndarray, n_clusters: int, config: PipelineConfig) -> ClusterModel:
     """Lowest-inertia fit over ``restarts`` seeds (ties keep the earliest)."""
     best = None
     for r in range(config.restarts):
-        model = kmeans_fit(state.consensus, n_clusters, seed=config.seed + r)
+        model = kmeans_fit(consensus, n_clusters, seed=config.seed + r)
         if best is None or model.inertia < best.inertia:
             best = model
     return best

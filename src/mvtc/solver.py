@@ -41,7 +41,8 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import EmbedDimTooSmall, ShapeMismatch, SingularSystem, ValidationError
+from .errors import (EmbedDimTooSmall, InvalidLowFrequencyParameter, ShapeMismatch,
+                     SingularSystem, ValidationError, check_int, check_real)
 from .tensor_ops import check_low_freq, lowfreq_truncate
 
 # Acceptable relative residual of the ridge normal equations.
@@ -60,9 +61,7 @@ class SolverConfig:
 
     ``early_stop_tol = 0`` (the default) disables the convergence guard and
     always runs the full ``max_iters`` iterations.  The settings are checked
-    here, before any work: ``embed_dim`` at least 2, ``lam``, ``beta`` and
-    ``early_stop_tol`` finite and non-negative, ``max_iters`` and ``seed``
-    integers >= 0 (a bool is not one).  ``low_freq`` depends on N, so
+    here, before any work; ``low_freq``'s upper bound depends on N, so
     :func:`run` checks it.
     """
 
@@ -76,16 +75,12 @@ class SolverConfig:
     smooth_embeddings: bool = True  # False: step 3 passes the stacked tensor through
 
     def __post_init__(self):
-        if self.embed_dim < 2:
-            raise EmbedDimTooSmall(f"embed_dim must be at least 2, got {self.embed_dim}")
+        check_int("embed_dim", self.embed_dim, 2, EmbedDimTooSmall)
+        check_int("low_freq", self.low_freq, 1, InvalidLowFrequencyParameter)
         for name in ("lam", "beta", "early_stop_tol"):
-            value = getattr(self, name)
-            if not 0 <= value < float("inf"):  # NaN fails both comparisons
-                raise ValidationError(f"{name} must be finite and non-negative, got {value}")
+            check_real(name, getattr(self, name))
         for name in ("max_iters", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-                raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
+            check_int(name, getattr(self, name), 0)
 
 
 @dataclass

@@ -6,6 +6,8 @@ import io
 import json
 import re
 import tempfile
+import weakref
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ import mvtc
 from mvtc import pipeline
 from mvtc.cli import main
 from mvtc.data import generate_synthetic, load_dataset, save_dataset
-from mvtc.errors import ValidationError
+from mvtc.errors import SingularSystem, ValidationError
 from mvtc.pipeline import PRESETS, PipelineConfig, RunReport, run_pipeline
 from mvtc.solver import SolverConfig
 
@@ -224,12 +226,91 @@ def test_malformed_flag_values_exit_cleanly(argv, capsys):
         ("restarts", 0),
         ("threads", 1.5),
         ("threads", 0),
+        ("low_freq", 3.0),
+        ("low_freq", True),
+        ("lam", "0.1"),
+        ("beta", "0.1"),
+        ("early_stop_tol", "0"),
+        ("kernel_width", "x"),
+        ("kernel_width", ["a", "b"]),
+        ("kernel_width", 0.0),
+        ("n_clusters", 0),
     ],
 )
 def test_bad_config_values_raise_validation_error(field, value):
     dataset = generate_synthetic(40, 2, 2, [4, 5], noise=0.1, seed=0)
     with pytest.raises(ValidationError, match=field):
         run_pipeline(dataset, PipelineConfig(**{field: value}))
+
+
+SWEEP_VALUES = [None, True, 0, -1, 2, 2.5, "2", float("nan"), float("inf")]
+_COUNT = {(type(None), None), (int, 2)}
+_WEIGHT = {(int, 0), (int, 2), (float, 2.5)}
+# (type, value) pairs of SWEEP_VALUES that each field accepts on the 40-sample,
+# 2-cluster, 2-view set of the sweep; no_isc and no_igs are flags and take any
+SWEEP_ACCEPTED = {
+    "n_clusters": _COUNT, "embed_dim": _COUNT, "n_anchors": _COUNT, "threads": _COUNT,
+    "lam": _WEIGHT, "beta": _WEIGHT, "early_stop_tol": _WEIGHT,
+    "low_freq": {(int, 2)}, "restarts": {(int, 2)},
+    "max_iters": {(int, 0), (int, 2)}, "seed": {(int, 0), (int, 2)},
+    "kernel_width": {(type(None), None), (int, 2), (float, 2.5)},
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)  # the same examples every run
+@given(values=st.dictionaries(
+    st.sampled_from([f.name for f in fields(PipelineConfig)]),
+    st.sampled_from(SWEEP_VALUES),
+    max_size=4,
+))
+def test_config_sweep_rejects_bad_values_and_runs_good_ones(values):
+    dataset = generate_synthetic(40, 2, 2, [4, 5], noise=0.1, seed=0)
+    if not all(k not in SWEEP_ACCEPTED or (type(v), v) in SWEEP_ACCEPTED[k]
+               for k, v in values.items()):
+        with pytest.raises(ValidationError):
+            run_pipeline(dataset, PipelineConfig(**values))
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.json"
+        try:
+            report = run_pipeline(dataset, PipelineConfig(**values), out_path=out)
+        except SingularSystem:
+            assert values.get("lam") == 0  # no ridge weight on 40 anchors of 40 samples
+            return
+        assert out.read_text(encoding="utf-8") == report.to_json()
+    assert np.isfinite(report.objective_trace).all()
+    assert len(report.labels_pred) == dataset.n_samples
+    assert set(report.labels_pred) == set(range(report.config["n_clusters"]))
+
+
+def test_numpy_float_settings_reach_the_written_report(tmp_path):
+    dataset = generate_synthetic(40, 2, 2, [4, 5], noise=0.1, seed=0)
+    config = PipelineConfig(lam=np.float32(0.1), beta=np.float32(0.1),
+                            early_stop_tol=np.float32(0))
+    out = tmp_path / "report.json"
+    report = run_pipeline(dataset, config, out_path=out)
+    assert out.read_text(encoding="utf-8") == report.to_json()
+
+
+def test_graphs_are_released_before_kmeans(monkeypatch):
+    refs, alive = [], []
+    build, fit = pipeline.build_all_graphs, pipeline.kmeans_fit
+
+    def build_tracked(*args, **kwargs):
+        graphs = build(*args, **kwargs)
+        refs.extend(weakref.ref(g) for g in graphs)
+        return graphs
+
+    def fit_counting(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "build_all_graphs", build_tracked)
+    monkeypatch.setattr(pipeline, "kmeans_fit", fit_counting)
+    dataset = generate_synthetic(60, 3, 3, [4, 5, 6], noise=0.1, seed=0)
+    run_pipeline(dataset, PipelineConfig(restarts=2))
+    assert len(refs) == 3
+    assert alive == [0, 0]
 
 
 def test_validation_error_exit_code_and_record(capsys):

@@ -59,9 +59,13 @@ def test_generation_validation():
     for dims in ([-3, 5], [0, 5]):
         with pytest.raises(ValidationError, match="at least 1"):
             generate_synthetic(10, 2, 2, dims)
-    for noise in (-1.0, float("nan"), float("inf")):
+    for noise in (-1.0, float("nan"), float("inf"), "0.1"):
         with pytest.raises(ValidationError, match="noise"):
             generate_synthetic(10, 2, 2, [4, 5], noise=noise)
+    for field, value in (("n_samples", 2.5), ("n_clusters", 2.0), ("n_views", 2.0),
+                         ("seed", True)):
+        with pytest.raises(ValidationError, match=field):
+            generate_synthetic(**{"n_samples": 10, "n_clusters": 2, field: value})
 
 
 def test_generation_defaults():

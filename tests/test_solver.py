@@ -580,6 +580,10 @@ def test_run_validates_config():
         run(graphs, SolverConfig(embed_dim=3, low_freq=8))
     with pytest.raises(EmbedDimTooSmall):
         run(graphs, SolverConfig(embed_dim=1, low_freq=3))
+    with pytest.raises(EmbedDimTooSmall):
+        SolverConfig(embed_dim=2.5)
+    with pytest.raises(InvalidLowFrequencyParameter):
+        SolverConfig(embed_dim=3, low_freq=3.0)
     with pytest.raises(ValidationError):
         SolverConfig(embed_dim=3, max_iters=2.5)
     with pytest.raises(ValidationError):
