@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .data import generate_synthetic, load_dataset, load_labels, save_dataset
 from .errors import NumericalError, ValidationError
@@ -50,13 +51,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--synthetic",
         help="inline synthetic spec, e.g. n=500,c=5,v=3,dims=20:30:25,noise=0.1,seed=7",
     )
-    run_p.add_argument("--anchors", type=int, default=None, help=f"anchor count M (default min({DEFAULT_ANCHORS}, N))")
-    run_p.add_argument("--clusters", type=int, default=None, help="cluster count C")
+    run_p.add_argument("--anchors", dest="n_anchors", type=int, default=None, help=f"anchor count M (default min({DEFAULT_ANCHORS}, N))")
+    run_p.add_argument("--clusters", dest="n_clusters", type=int, default=None, help="cluster count C")
     run_p.add_argument("--embed-dim", type=int, default=None, help="embedding dimension K (default C)")
     run_p.add_argument("--lambda", dest="lam", type=float, default=None, help="projection ridge weight")
     run_p.add_argument("--beta", type=float, default=None, help="consensus coupling weight")
-    run_p.add_argument("--lowfreq", type=int, default=None, help="kept low-frequency slices L")
-    run_p.add_argument("--iters", type=int, default=None, help="solver iterations T")
+    run_p.add_argument("--lowfreq", dest="low_freq", type=int, default=None, help="kept low-frequency slices L")
+    run_p.add_argument("--iters", dest="max_iters", type=int, default=None, help="solver iterations T")
     run_p.add_argument("--seed", type=int, default=None, help=f"run seed (default {PipelineConfig.seed}); also the --synthetic seed unless its spec sets one")
     run_p.add_argument("--early-stop-tol", type=float, default=None, help="relative consensus-change stop (0 = off)")
     run_p.add_argument("--restarts", type=int, default=None, help="k-means restarts, best inertia wins")
@@ -94,27 +95,16 @@ def _cmd_run(args) -> int:
     else:
         dataset = _synthetic_from_spec(args.synthetic, seed=args.seed)
     settings = dict(PRESETS[args.preset]) if args.preset else {}
-    settings.update(_given(
-        n_anchors=args.anchors, lam=args.lam, beta=args.beta, low_freq=args.lowfreq,
-        max_iters=args.iters, early_stop_tol=args.early_stop_tol, restarts=args.restarts,
-        seed=args.seed,
-    ))
-    threads = args.threads
-    if threads is None and os.environ.get("MVTC_THREADS"):
+    # each run flag's dest that names a config field; an unset flag keeps the preset or default
+    names = {f.name for f in fields(PipelineConfig)}
+    settings.update((k, v) for k, v in vars(args).items() if k in names and v is not None)
+    settings["kernel_width"] = _parse_kernel_width(args.kernel_width)
+    if args.threads is None and os.environ.get("MVTC_THREADS"):
         try:
-            threads = int(os.environ["MVTC_THREADS"])
+            settings["threads"] = int(os.environ["MVTC_THREADS"])
         except ValueError as exc:
             raise ValidationError(f"MVTC_THREADS must be an integer: {exc}") from exc
-    config = PipelineConfig(
-        n_clusters=args.clusters,
-        embed_dim=args.embed_dim,
-        kernel_width=_parse_kernel_width(args.kernel_width),
-        no_isc=args.no_isc,
-        no_igs=args.no_igs,
-        threads=threads,
-        **settings,
-    )
-    return _print_json(run_pipeline(dataset, config).to_json(), args.out)
+    return _print_json(run_pipeline(dataset, PipelineConfig(**settings)).to_json(), args.out)
 
 
 def _cmd_metrics(args) -> int:

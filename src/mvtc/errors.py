@@ -8,6 +8,8 @@ trustworthy result; CLI exit code 3).
 import math
 import numbers
 
+import numpy as np
+
 
 class ValidationError(Exception):
     """Invalid input shape, length, file, or configuration."""
@@ -69,12 +71,19 @@ class SingularSystem(NumericalError):
     """Ridge system not finite, or unsolvable within tolerance even via pseudo-inverse."""
 
 
-def check_int(name, value, least=None, error=ValidationError):
-    """Raise ``error`` unless ``value`` is an integer (not a bool) >= ``least``, if given."""
-    if type(value) is bool or not isinstance(value, numbers.Integral) or (
-            least is not None and value < least):
-        at_least = "" if least is None else f" of at least {least}"
-        raise error(f"{name} must be an integer{at_least}, got {value!r}")
+def check_int(name, value, least=None, error=ValidationError, *, most=None):
+    """Raise ``error`` unless ``value`` is an integer (not a bool) in [``least``, ``most``], where set."""
+    if type(value) is bool or not isinstance(value, numbers.Integral) or not (
+            (least is None or value >= least) and (most is None or value <= most)):
+        bounds = " and ".join(f"{word} {bound}" for word, bound in
+                              (("at least", least), ("at most", most)) if bound is not None)
+        raise error(f"{name} must be an integer{' of ' + bounds if bounds else ''}, got {value!r}")
+
+
+def check_switch(name, value):
+    """Raise ValidationError unless ``value`` is a bool (Python's or numpy's)."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValidationError(f"{name} must be a bool, got {value!r}")
 
 
 def check_real(name, value, *, positive=False):

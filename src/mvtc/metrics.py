@@ -97,12 +97,7 @@ def purity(pred, truth) -> float:
 
 def pairwise_prf(pred, truth) -> tuple[float, float, float]:
     """Pair-counting precision, recall, and F-score; every 0/0 maps to 0."""
-    t = contingency_table(pred, truth)
-    if t.n < 2:
-        raise EmptyInput("pair counting needs at least 2 samples")
-    tp = int(_comb2(t.counts).sum())
-    pairs_pred = int(_comb2(t.row_sums).sum())
-    pairs_true = int(_comb2(t.col_sums).sum())
+    _, tp, pairs_pred, pairs_true = _pair_counts(pred, truth)
     precision = tp / pairs_pred if pairs_pred else 0.0
     recall = tp / pairs_true if pairs_true else 0.0
     f_score = (
@@ -119,13 +114,7 @@ def ari(pred, truth) -> float:
     when both partitions are all-singletons or both are one cluster, i.e.
     identical, which scores 1.0.
     """
-    t = contingency_table(pred, truth)
-    if t.n < 2:
-        raise EmptyInput("ari needs at least 2 samples")
-    sum_ij = int(_comb2(t.counts).sum())
-    pa = int(_comb2(t.row_sums).sum())
-    pb = int(_comb2(t.col_sums).sum())
-    total = t.n * (t.n - 1) // 2
+    total, sum_ij, pa, pb = _pair_counts(pred, truth)
     numerator = 2 * total * sum_ij - 2 * pa * pb
     denominator = total * (pa + pb) - 2 * pa * pb
     if denominator == 0:
@@ -147,9 +136,13 @@ def clustering_scores(pred, truth) -> dict[str, float]:
     }
 
 
-def _comb2(x: np.ndarray) -> np.ndarray:
-    x = x.astype(np.int64)
-    return x * (x - 1) // 2
+def _pair_counts(pred, truth) -> tuple[int, int, int, int]:
+    """Total pairs, and the pairs together in both partitions, in ``pred`` and in ``truth``."""
+    t = contingency_table(pred, truth)
+    if t.n < 2:
+        raise EmptyInput("pair counting needs at least 2 samples")
+    together = (int((c * (c - 1) // 2).sum()) for c in (t.counts, t.row_sums, t.col_sums))
+    return (t.n * (t.n - 1) // 2, *together)
 
 
 def _entropy(sums: np.ndarray, n: int) -> float:

@@ -23,7 +23,7 @@ from . import __version__
 from .anchors import build_all_graphs, select_anchors
 from .clustering import ClusterModel, kmeans_fit
 from .data import MultiViewDataset
-from .errors import ValidationError, check_int
+from .errors import ValidationError, check_int, check_switch
 from .metrics import clustering_scores
 from .solver import SolverConfig, run as solver_run
 
@@ -66,16 +66,19 @@ class PipelineConfig:
     threads: int | None = None
 
     def __post_init__(self):
-        """Check the integer fields that :class:`SolverConfig` does not.
+        """Check the integer fields and switches that :class:`SolverConfig` does not.
 
         The ranges of ``n_clusters``, ``embed_dim`` and ``n_anchors`` depend
         on the data and are checked at the run.  ``None`` keeps a fallback.
+        ``threads`` reaches OpenBLAS as a C ``int``, so it is at most 2**31 - 1.
         """
-        for name, least in (("n_clusters", None), ("embed_dim", None), ("n_anchors", None),
-                            ("threads", 1)):
+        for name, least, most in (("n_clusters", None, None), ("embed_dim", None, None),
+                                  ("n_anchors", None, None), ("threads", 1, 2**31 - 1)):
             if getattr(self, name) is not None:
-                check_int(name, getattr(self, name), least)
+                check_int(name, getattr(self, name), least, most=most)
         check_int("restarts", self.restarts, 1)
+        for name in ("no_isc", "no_igs"):
+            check_switch(name, getattr(self, name))
 
 
 @dataclass

@@ -42,7 +42,8 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (EmbedDimTooSmall, InvalidLowFrequencyParameter, ShapeMismatch,
-                     SingularSystem, ValidationError, check_int, check_real)
+                     SingularSystem, ValidationError, check_int, check_real,
+                     check_switch)
 from .tensor_ops import check_low_freq, lowfreq_truncate
 
 # Acceptable relative residual of the ridge normal equations.
@@ -81,6 +82,7 @@ class SolverConfig:
             check_real(name, getattr(self, name))
         for name in ("max_iters", "seed"):
             check_int(name, getattr(self, name), 0)
+        check_switch("smooth_embeddings", self.smooth_embeddings)
 
 
 @dataclass

@@ -83,8 +83,19 @@ def test_views_must_share_sample_count():
         select_anchors([rng.standard_normal((3, 5)), rng.standard_normal((3, 6))], 2, 0)
 
 
+@pytest.mark.parametrize("widths", [[1.0], [1.0, 2.0, 3.0]])
+def test_one_kernel_width_per_view(widths):
+    with pytest.raises(ValidationError, match=f"got {len(widths)} kernel widths for 2 views"):
+        select_anchors(two_view_data(), 3, seed=0, kernel_width=widths)
+
+
 # ---------------------------------------------------------------------------
 # kernel width
+
+
+def test_width_needs_an_anchor():
+    with pytest.raises(ValidationError, match="need at least one anchor"):
+        estimate_kernel_width(np.ones((2, 4)), np.ones((2, 0)))
 
 
 def test_width_degenerate_when_sample_equals_single_anchor():
@@ -193,6 +204,11 @@ def test_graph_rejects_nonpositive_width():
     for sigma in (0.0, -1.0, np.inf, np.nan):
         with pytest.raises(ValidationError):
             build_anchor_graph(np.ones((2, 3)), np.ones((2, 1)), sigma=sigma)
+
+
+def test_graph_rejects_anchors_of_another_feature_count():
+    with pytest.raises(DimensionMismatch, match="view has 2 features but anchors have 3"):
+        build_anchor_graph(np.ones((2, 3)), np.ones((3, 1)), sigma=1.0)
 
 
 def test_graph_of_overflowing_view_is_non_finite_quick_and_quiet():

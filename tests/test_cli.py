@@ -202,6 +202,9 @@ SMALL_RUN = ["run", "--synthetic", "n=300,c=3,v=2,dims=4:5", "--anchors", "30"]
          "--out", "/tmp/x"],
         ["gen-synthetic", "--samples", "10", "--clusters", "2", "--dims", "0,4,4", "--out", "/tmp/x"],
         ["gen-synthetic", "--samples", "10", "--clusters", "2", "--noise", "nan", "--out", "/tmp/x"],
+        ["run", "--synthetic", "n=60,c=3,v2"],  # a token without '='
+        SMALL_RUN + ["--kernel-width", ","],
+        SMALL_RUN + ["--threads", str(10**30)],  # beyond a C int, refused before any BLAS call
     ],
 )
 def test_malformed_flag_values_exit_cleanly(argv, capsys):
@@ -211,6 +214,13 @@ def test_malformed_flag_values_exit_cleanly(argv, capsys):
     assert len(lines) == 1, err
     record = json.loads(lines[0])
     assert record["error"] and record["message"]
+
+
+def test_non_integer_threads_variable_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("MVTC_THREADS", "x")
+    code, _, err = run_cli(capsys, *SMALL_RUN)
+    assert code == 2
+    assert json.loads(err)["message"].startswith("MVTC_THREADS must be an integer")
 
 
 @pytest.mark.parametrize(
@@ -235,6 +245,11 @@ def test_malformed_flag_values_exit_cleanly(argv, capsys):
         ("kernel_width", ["a", "b"]),
         ("kernel_width", 0.0),
         ("n_clusters", 0),
+        ("no_isc", "false"),  # a switch is a bool, not a truthy value
+        ("no_igs", 1),
+        ("threads", 2**31),  # OpenBLAS takes a C int
+        ("threads", 2**32 + 1),
+        ("threads", 10**30),
     ],
 )
 def test_bad_config_values_raise_validation_error(field, value):
@@ -247,13 +262,14 @@ SWEEP_VALUES = [None, True, 0, -1, 2, 2.5, "2", float("nan"), float("inf")]
 _COUNT = {(type(None), None), (int, 2)}
 _WEIGHT = {(int, 0), (int, 2), (float, 2.5)}
 # (type, value) pairs of SWEEP_VALUES that each field accepts on the 40-sample,
-# 2-cluster, 2-view set of the sweep; no_isc and no_igs are flags and take any
+# 2-cluster, 2-view set of the sweep
 SWEEP_ACCEPTED = {
     "n_clusters": _COUNT, "embed_dim": _COUNT, "n_anchors": _COUNT, "threads": _COUNT,
     "lam": _WEIGHT, "beta": _WEIGHT, "early_stop_tol": _WEIGHT,
     "low_freq": {(int, 2)}, "restarts": {(int, 2)},
     "max_iters": {(int, 0), (int, 2)}, "seed": {(int, 0), (int, 2)},
     "kernel_width": {(type(None), None), (int, 2), (float, 2.5)},
+    "no_isc": {(bool, True)}, "no_igs": {(bool, True)},
 }
 
 
@@ -484,6 +500,66 @@ def test_corrupted_input_exits_0_2_or_3_with_one_json_line(name, corruption):
                 assert record["error"] and record["message"]
 
 
+# Each numeric run flag's draws from {0, -1, 1, huge, tiny, nan, inf} that
+# argparse admits.  --iters and --restarts are work counts: a huge one is a
+# valid run that does not end, so they draw no huge value.  --threads draws
+# no valid count above 1, so that no run asks for more threads.
+# Hypothesis leans to the first entry of each list, so a valid value leads.
+_INTS = ["1", "0", "-1", str(10**30)]
+_WORK = ["1", "0", "-1"]
+_REALS = ["1", "0", "1e-300", "1e300", "-1", "nan", "inf"]
+RUN_FLAG_DRAWS = {
+    "--anchors": _INTS, "--clusters": _INTS, "--embed-dim": _INTS, "--lowfreq": _INTS,
+    "--seed": _INTS, "--iters": _WORK, "--restarts": _WORK,
+    "--lambda": _REALS, "--beta": _REALS, "--early-stop-tol": _REALS, "--kernel-width": _REALS,
+    "--threads": ["1", "0", "-1", str(2**31), str(10**30)],
+}
+# --synthetic specs of at most 60 samples; an empty token is one the parser skips
+SPECS = st.tuples(
+    st.sampled_from(["n=60", "n=30", "n=7", "n=1"]),
+    st.sampled_from(["c=3", "c=2", "c=1"]),
+    st.sampled_from(["", "v=2,dims=3:4", "v=1,dims=3", "v=3", "dims=4:5"]),
+    st.sampled_from([""] + [f"noise={value}" for value in _REALS]),
+    st.sampled_from([""] + [f"seed={value}" for value in _INTS]),
+).map(",".join)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)  # the same examples every run
+@given(
+    spec=SPECS,
+    flags=st.lists(st.sampled_from(sorted(RUN_FLAG_DRAWS)), max_size=3, unique=True).flatmap(
+        lambda names: st.fixed_dictionaries(
+            {name: st.sampled_from(RUN_FLAG_DRAWS[name]) for name in names})
+    ),
+    switches=st.sets(st.sampled_from(["--no-isc", "--no-igs"])),
+)
+@example(spec="n=60,c=3", flags={}, switches=set())
+@example(spec="n=30,c=2,v=2,dims=3:4", flags={"--lowfreq": "1", "--restarts": "1"},
+         switches={"--no-igs"})
+def test_run_flags_exit_0_2_or_3_with_one_json_line(spec, flags, switches):
+    argv = ["run", "--synthetic", spec]
+    argv += [f"{flag}={value}" for flag, value in flags.items()] + sorted(switches)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.json"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv + ["--out", str(out)])
+        assert code in (0, 2, 3), argv
+        if code:
+            lines = stderr.getvalue().splitlines()
+            assert len(lines) == 1, argv
+            record = json.loads(lines[0])
+            assert record["error"] and record["message"]
+            return
+        written = out.read_text(encoding="utf-8")
+    assert written == stdout.getvalue()
+    report = json.loads(written)
+    assert np.isfinite(report["objective_trace"]).all()
+    labels = report["labels_pred"]
+    assert len(labels) == report["dataset"]["n_samples"]
+    assert sorted(set(labels)) == list(range(report["config"]["n_clusters"]))
+
+
 def test_kernel_width_override_rescues_degenerate_view(tmp_path, capsys):
     view = np.zeros((3, 10))
     path = tmp_path / "flat.csv"
@@ -546,13 +622,16 @@ def test_synthetic_defaults_come_from_generate_synthetic(tmp_path, capsys):
     for got, want in zip(written.views, expected.views, strict=True):
         np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(written.labels, expected.labels)
-    # the spec's unset keys take the same defaults, its seed the run's --seed
-    code, stdout, _ = run_cli(capsys, "run", "--synthetic", "n=60,c=3", "--anchors", "20")
-    assert code == 0
-    from_spec = json.loads(stdout)
+    # the spec's unset keys take the same defaults, its seed the run's --seed;
+    # a blank token is skipped
     direct = json.loads(run_pipeline(expected, PipelineConfig(n_anchors=20)).to_json())
-    from_spec.pop("timings"), direct.pop("timings")
-    assert from_spec == direct
+    direct.pop("timings")
+    for spec in ("n=60,c=3", "n=60,,c=3, "):
+        code, stdout, _ = run_cli(capsys, "run", "--synthetic", spec, "--anchors", "20")
+        assert code == 0
+        from_spec = json.loads(stdout)
+        from_spec.pop("timings")
+        assert from_spec == direct
 
 
 @pytest.mark.parametrize("source", ["manifest", "synthetic"])

@@ -159,6 +159,26 @@ def test_missing_view_file(tmp_path):
         load_matrix(tmp_path / "absent.csv")
 
 
+def test_missing_labels_file(tmp_path):
+    with pytest.raises(MissingFile, match="labels file not found"):
+        load_labels(tmp_path / "absent.csv")
+
+
+@pytest.mark.parametrize(
+    "fmt, orientation, error",
+    [("npy", "samples", "unknown matrix format 'npy'"),
+     ("csv", "rows", "orientation must be one of")],
+)
+def test_unknown_format_or_orientation_rejected(tmp_path, fmt, orientation, error):
+    path = tmp_path / "v.dat"
+    with pytest.raises(ValidationError, match=error):
+        write_matrix(path, np.ones((2, 3)), fmt=fmt, orientation=orientation)
+    assert not path.exists()
+    write_matrix(path, np.ones((2, 3)))
+    with pytest.raises(ValidationError, match=error):
+        load_matrix(path, fmt=fmt, orientation=orientation)
+
+
 # ---------------------------------------------------------------------------
 # manifests
 

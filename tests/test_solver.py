@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor
 
 from mvtc.errors import (
     EmbedDimTooSmall,
@@ -107,6 +108,11 @@ def test_zscore_rejects_single_row():
         zscore_normalize_columns(np.ones((1, 4)))
 
 
+def test_zscore_rejects_a_vector():
+    with pytest.raises(ShapeMismatch, match=r"need a K x N matrix, got shape \(4,\)"):
+        zscore_normalize_columns(np.ones(4))
+
+
 @settings(max_examples=30, deadline=None)
 @given(k=st.integers(2, 9), n=st.integers(1, 12), seed=st.integers(0, 10_000))
 def test_zscore_columns_always_in_constraint_set(k, n, seed):
@@ -171,14 +177,25 @@ def test_projection_normal_equation_residual():
 
 
 def test_projection_singular_gram_falls_back_to_pinv():
-    # rank-1 graph with lam=0: Cholesky fails, pseudo-inverse must serve
-    phi = np.outer(np.ones(3), np.linspace(1.0, 2.0, 6))
-    b = np.vstack([np.linspace(1.0, 2.0, 6), np.linspace(2.0, 4.0, 6)])
-    u = update_projection(b, phi, ridge_system(phi, 0.0))
-    system = phi @ phi.T
+    # lam = 0 and an all-zero graph row: Cholesky raises, the pseudo-inverse must serve
+    rng = np.random.default_rng(6)
+    phi = rng.random((3, 6))
+    phi[1] = 0.0
+    b = rng.standard_normal((2, 6))
+    system = ridge_system(phi, 0.0)
+    with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+        cho_factor(system)
+    u = update_projection(b, phi, system)
     rhs = b @ phi.T
+    np.testing.assert_array_equal(u, rhs @ np.linalg.pinv(system))
     rel = np.linalg.norm(u @ system - rhs) / np.linalg.norm(rhs)
     assert rel <= 1e-8
+
+
+def test_projection_of_zero_embedding_is_zero():
+    phi = np.random.default_rng(7).random((4, 8))
+    u = update_projection(np.zeros((3, 8)), phi, ridge_system(phi, 0.1))
+    np.testing.assert_array_equal(u, np.zeros((3, 4)))
 
 
 def test_projection_non_finite_system_raises_singular_system():
@@ -588,10 +605,14 @@ def test_run_validates_config():
         SolverConfig(embed_dim=3, max_iters=2.5)
     with pytest.raises(ValidationError):
         SolverConfig(embed_dim=3, seed=-1)
+    with pytest.raises(ValidationError, match="smooth_embeddings must be a bool"):
+        SolverConfig(embed_dim=3, smooth_embeddings="no")
     with pytest.raises(ValidationError):
         run(graphs, SolverConfig(embed_dim=6, low_freq=3))  # K > M
     with pytest.raises(ShapeMismatch):
         run([], SolverConfig(embed_dim=3, low_freq=2))
+    with pytest.raises(ShapeMismatch, match=r"graph 1 has shape \(5, 11\), expected \(\*, 12\)"):
+        run([graphs[0], graphs[1][:, :11]], SolverConfig(embed_dim=3, low_freq=2))
 
 
 def test_run_smoothing_disabled_passes_tensor_through():

@@ -7,6 +7,7 @@ from mvtc.errors import DimensionMismatch, NonRealResult
 from mvtc.tensor_ops import (
     fft_mode3,
     ifft_mode3,
+    lowfreq_truncate,
     t_product,
     t_svd,
     t_transpose,
@@ -119,6 +120,8 @@ def test_t_product_dimension_mismatch():
         t_product(np.zeros((2, 3, 4)), np.zeros((2, 3, 4)))
     with pytest.raises(DimensionMismatch):
         t_product(np.zeros((2, 3, 4)), np.zeros((3, 2, 5)))
+    with pytest.raises(DimensionMismatch, match="t_product needs two 3-d arrays"):
+        t_product(np.zeros((2, 3, 4)), np.zeros((3, 2)))
 
 
 def test_t_product_associative():
@@ -169,6 +172,16 @@ def test_t_svd_zero_tensor():
 def test_t_svd_rejects_a_matrix():
     with pytest.raises(DimensionMismatch, match=r"expected a 3-d array, got shape \(3, 4\)"):
         t_svd(np.zeros((3, 4)))
+
+
+@pytest.mark.parametrize(
+    "op",
+    [ifft_mode3, t_transpose, lambda t: lowfreq_truncate(t, 1)],
+    ids=["ifft_mode3", "t_transpose", "lowfreq_truncate"],
+)
+def test_tensor_ops_reject_a_matrix(op):
+    with pytest.raises(DimensionMismatch, match=r"expected a 3-d array, got shape \(3, 4\)"):
+        op(np.zeros((3, 4)))
 
 
 def test_t_svd_depth_one_matches_matrix_svd():
