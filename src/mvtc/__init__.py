@@ -18,7 +18,6 @@ from .data import MultiViewDataset, generate_synthetic, load_dataset, save_datas
 from .metrics import clustering_scores
 from .pipeline import PipelineConfig, RunReport, run_pipeline
 from .solver import SolverConfig, SolverState
-from .solver import run as solve
 
 __all__ = [
     "__version__",
@@ -38,5 +37,4 @@ __all__ = [
     "run_pipeline",
     "save_dataset",
     "select_anchors",
-    "solve",
 ]

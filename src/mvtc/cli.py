@@ -26,7 +26,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValidationError, OSError) as exc:  # OSError: a file that cannot be read or written
+    # OSError: a file that cannot be read or written; MemoryError: a request too large to allocate
+    except (ValidationError, OSError, MemoryError) as exc:
         _emit_error(exc)
         return 2
     except NumericalError as exc:
@@ -90,10 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    if args.manifest:
-        dataset = load_dataset(args.manifest)
-    else:
-        dataset = _synthetic_from_spec(args.synthetic, seed=args.seed)
     settings = dict(PRESETS[args.preset]) if args.preset else {}
     # each run flag's dest that names a config field; an unset flag keeps the preset or default
     names = {f.name for f in fields(PipelineConfig)}
@@ -104,7 +101,12 @@ def _cmd_run(args) -> int:
             settings["threads"] = int(os.environ["MVTC_THREADS"])
         except ValueError as exc:
             raise ValidationError(f"MVTC_THREADS must be an integer: {exc}") from exc
-    return _print_json(run_pipeline(dataset, PipelineConfig(**settings)).to_json(), args.out)
+    config = PipelineConfig(**settings)  # checked before any data is read
+    if args.manifest:
+        dataset = load_dataset(args.manifest)
+    else:
+        dataset = _synthetic_from_spec(args.synthetic, seed=args.seed)
+    return _print_json(run_pipeline(dataset, config).to_json(), args.out)
 
 
 def _cmd_metrics(args) -> int:

@@ -115,8 +115,11 @@ def generate_synthetic(
     if not 1 <= n_clusters <= n_samples:
         raise ValidationError(f"cannot split {n_samples} samples into {n_clusters} clusters")
     check_int("seed", seed, 0)
-    rng = np.random.default_rng(seed)
     latent_dim = max(2, n_clusters)
+    # the largest array is N x max(dims, latent_dim) floats; numpy cannot index a larger one
+    if n_samples * max(*dims, latent_dim) > np.iinfo(np.intp).max // 8:
+        raise ValidationError(f"{n_samples} samples are too many to hold in memory")
+    rng = np.random.default_rng(seed)
     centers = rng.standard_normal((latent_dim, n_clusters))
     centers /= np.linalg.norm(centers, axis=0)
     centers *= 1.0 + np.arange(1, n_clusters + 1)

@@ -25,7 +25,7 @@ from .clustering import ClusterModel, kmeans_fit
 from .data import MultiViewDataset
 from .errors import ValidationError, check_int, check_switch
 from .metrics import clustering_scores
-from .solver import SolverConfig, run as solver_run
+from .solver import SolverConfig, SolverSettings, run as solver_run
 
 DEFAULT_ANCHORS = 1000  # clamped to N on smaller datasets
 
@@ -48,17 +48,11 @@ PRESETS: dict[str, dict] = {
 }
 
 
-@dataclass
-class PipelineConfig:
+@dataclass(kw_only=True)
+class PipelineConfig(SolverSettings):
     n_clusters: int | None = None   # falls back to the dataset's cluster count
     embed_dim: int | None = None    # falls back to n_clusters
     n_anchors: int | None = None    # falls back to min(DEFAULT_ANCHORS, N)
-    lam: float = SolverConfig.lam
-    beta: float = SolverConfig.beta
-    low_freq: int = SolverConfig.low_freq
-    max_iters: int = SolverConfig.max_iters
-    seed: int = SolverConfig.seed
-    early_stop_tol: float = SolverConfig.early_stop_tol
     restarts: int = 1
     kernel_width: list[float] | float | None = None
     no_isc: bool = False   # drop the consensus coupling (beta forced to 0)
@@ -66,12 +60,14 @@ class PipelineConfig:
     threads: int | None = None
 
     def __post_init__(self):
-        """Check the integer fields and switches that :class:`SolverConfig` does not.
+        """Check the shared solver settings, then the pipeline's integer fields and switches.
 
         The ranges of ``n_clusters``, ``embed_dim`` and ``n_anchors`` depend
-        on the data and are checked at the run.  ``None`` keeps a fallback.
+        on the data and are checked at the run, as are the kernel widths,
+        whose count must match the views.  ``None`` keeps a fallback.
         ``threads`` reaches OpenBLAS as a C ``int``, so it is at most 2**31 - 1.
         """
+        super().__post_init__()
         for name, least, most in (("n_clusters", None, None), ("embed_dim", None, None),
                                   ("n_anchors", None, None), ("threads", 1, 2**31 - 1)):
             if getattr(self, name) is not None:
@@ -127,16 +123,9 @@ def _cluster(dataset: MultiViewDataset, config: PipelineConfig, out_path) -> Run
     check_int("n_clusters", n_clusters, 1)
     embed_dim = config.embed_dim if config.embed_dim is not None else n_clusters
     n_anchors = config.n_anchors if config.n_anchors is not None else min(DEFAULT_ANCHORS, n)
-    # built with the given beta, so that --no-isc does not skip its check
     solver_cfg = SolverConfig(
-        embed_dim=embed_dim,
-        lam=config.lam,
-        beta=config.beta,
-        low_freq=config.low_freq,
-        max_iters=config.max_iters,
-        seed=config.seed,
-        early_stop_tol=config.early_stop_tol,
-        smooth_embeddings=not config.no_igs,
+        embed_dim=embed_dim, smooth_embeddings=not config.no_igs,
+        **{f.name: getattr(config, f.name) for f in fields(SolverSettings)},
     )
     if config.no_isc:
         solver_cfg = replace(solver_cfg, beta=0.0)
@@ -181,11 +170,10 @@ def _cluster(dataset: MultiViewDataset, config: PipelineConfig, out_path) -> Run
             "n_clusters": int(n_clusters),
             "embed_dim": int(embed_dim),
             "n_anchors": int(n_anchors),
-            "lam": float(config.lam),
-            "beta": float(solver_cfg.beta),
-            "low_freq": int(config.low_freq),
-            "max_iters": int(config.max_iters),
-            "early_stop_tol": float(config.early_stop_tol),
+            # the shared solver settings as the solver ran them (beta is 0 under no_isc);
+            # seed has its own top-level key
+            **{f.name: type(f.default)(getattr(solver_cfg, f.name))
+               for f in fields(SolverSettings) if f.name != "seed"},
             "restarts": int(config.restarts),
             "kernel_width_per_view": [float(s) for s in kernel_widths],
             "no_isc": bool(config.no_isc),

@@ -56,9 +56,9 @@ ZSCORE_BLOCK = 4096
 COUPLING_BLOCK = 1 << 14
 
 
-@dataclass
-class SolverConfig:
-    """Hyperparameters of the alternating solver.
+@dataclass(kw_only=True)
+class SolverSettings:
+    """The solver settings that :class:`SolverConfig` and ``PipelineConfig`` share.
 
     ``early_stop_tol = 0`` (the default) disables the convergence guard and
     always runs the full ``max_iters`` iterations.  The settings are checked
@@ -66,22 +66,31 @@ class SolverConfig:
     :func:`run` checks it.
     """
 
-    embed_dim: int
     lam: float = 0.1            # ridge weight on the projection matrices
     beta: float = 0.1           # consensus coupling weight
     low_freq: int = 16          # kept spectrum slices, 1..floor(N/2)+1
     max_iters: int = 7
     seed: int = 0
     early_stop_tol: float = 0.0
-    smooth_embeddings: bool = True  # False: step 3 passes the stacked tensor through
 
     def __post_init__(self):
-        check_int("embed_dim", self.embed_dim, 2, EmbedDimTooSmall)
         check_int("low_freq", self.low_freq, 1, InvalidLowFrequencyParameter)
         for name in ("lam", "beta", "early_stop_tol"):
             check_real(name, getattr(self, name))
         for name in ("max_iters", "seed"):
             check_int(name, getattr(self, name), 0)
+
+
+@dataclass(kw_only=True)
+class SolverConfig(SolverSettings):
+    """Hyperparameters of the alternating solver: the shared settings and two of its own."""
+
+    embed_dim: int
+    smooth_embeddings: bool = True  # False: step 3 passes the stacked tensor through
+
+    def __post_init__(self):
+        check_int("embed_dim", self.embed_dim, 2, EmbedDimTooSmall)
+        super().__post_init__()
         check_switch("smooth_embeddings", self.smooth_embeddings)
 
 
@@ -114,24 +123,14 @@ def zscore_normalize_columns(mat: np.ndarray, *, out: np.ndarray | None = None) 
         raise EmbedDimTooSmall(f"need at least 2 rows to normalize, got {k}")
     if out is None:
         out = np.empty((k, n))
-    deviation_buf = np.empty((k, min(n, ZSCORE_BLOCK)))
     # zero-variance columns are patched below; a non-finite column turns to
     # NaN quietly, and the solver's objective check reports it
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for lo in range(0, n, ZSCORE_BLOCK):
             cols = slice(lo, lo + ZSCORE_BLOCK)
             block = mat[:, cols]
-            # np.mean's and np.std(ddof=1)'s own steps, so the bits match
-            # ``centered = mat - mat.mean(0)`` and ``centered.std(0, ddof=1)``
-            centered = np.subtract(block, np.add.reduce(block, axis=0) / k, out=out[:, cols])
-            deviation = np.subtract(
-                centered, np.add.reduce(centered, axis=0) / k,
-                out=deviation_buf[:, :centered.shape[1]],
-            )
-            np.square(deviation, out=deviation)
-            std = np.add.reduce(deviation, axis=0)
-            std /= k - 1
-            np.sqrt(std, out=std)
+            centered = np.subtract(block, block.mean(axis=0), out=out[:, cols])
+            std = centered.std(axis=0, ddof=1)
             np.divide(centered, std, out=centered)
             dead = std == 0
             if dead.any():

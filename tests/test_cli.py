@@ -19,7 +19,7 @@ import mvtc
 from mvtc import pipeline
 from mvtc.cli import main
 from mvtc.data import generate_synthetic, load_dataset, save_dataset
-from mvtc.errors import SingularSystem, ValidationError
+from mvtc.errors import InvalidLowFrequencyParameter, SingularSystem, ValidationError
 from mvtc.pipeline import PRESETS, PipelineConfig, RunReport, run_pipeline
 from mvtc.solver import SolverConfig
 
@@ -205,6 +205,10 @@ SMALL_RUN = ["run", "--synthetic", "n=300,c=3,v=2,dims=4:5", "--anchors", "30"]
         ["run", "--synthetic", "n=60,c=3,v2"],  # a token without '='
         SMALL_RUN + ["--kernel-width", ","],
         SMALL_RUN + ["--threads", str(10**30)],  # beyond a C int, refused before any BLAS call
+        # too many samples for numpy to index, refused before any allocation
+        ["run", "--synthetic", "n=4611686018427387904,c=2"],
+        ["gen-synthetic", "--samples", "4611686018427387904", "--clusters", "2", "--out", "/tmp/x"],
+        ["gen-synthetic", "--samples", str(2**31), "--clusters", str(2**31), "--out", "/tmp/x"],
     ],
 )
 def test_malformed_flag_values_exit_cleanly(argv, capsys):
@@ -256,6 +260,54 @@ def test_bad_config_values_raise_validation_error(field, value):
     dataset = generate_synthetic(40, 2, 2, [4, 5], noise=0.1, seed=0)
     with pytest.raises(ValidationError, match=field):
         run_pipeline(dataset, PipelineConfig(**{field: value}))
+
+
+@pytest.mark.parametrize(
+    "field, value, error",
+    [
+        ("lam", "0.1", ValidationError),
+        ("beta", float("nan"), ValidationError),
+        ("early_stop_tol", -1.0, ValidationError),
+        ("low_freq", 0, InvalidLowFrequencyParameter),
+        ("max_iters", -1, ValidationError),
+        ("seed", -1, ValidationError),
+    ],
+)
+def test_pipeline_config_checks_solver_settings_when_built(field, value, error):
+    with pytest.raises(error, match=field):
+        PipelineConfig(**{field: value})
+
+
+@pytest.mark.parametrize("config", [SolverConfig, PipelineConfig])
+def test_configs_take_keyword_arguments_only(config):
+    with pytest.raises(TypeError):
+        config(3)
+
+
+@pytest.mark.parametrize("source, reader", [
+    (["--manifest", "manifest.json"], "load_dataset"),
+    (["--synthetic", "n=40,c=2"], "_synthetic_from_spec"),
+])
+def test_run_checks_settings_before_reading_data(capsys, monkeypatch, source, reader):
+    def read(*args, **kwargs):
+        raise AssertionError("data read before the settings were checked")
+
+    monkeypatch.setattr(f"mvtc.cli.{reader}", read)
+    code, _, err = run_cli(capsys, "run", *source, "--lambda", "-1")
+    assert code == 2
+    (line,) = err.strip().splitlines()
+    assert "lam" in json.loads(line)["message"]
+
+
+def test_request_too_large_to_allocate_exits_2_with_one_json_line(capsys, monkeypatch):
+    def run(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.11 PiB")
+
+    monkeypatch.setattr("mvtc.cli.run_pipeline", run)
+    code, _, err = run_cli(capsys, *SMALL_RUN)
+    assert code == 2
+    (line,) = err.strip().splitlines()
+    assert json.loads(line) == {"error": "MemoryError", "message": "Unable to allocate 7.11 PiB"}
 
 
 SWEEP_VALUES = [None, True, 0, -1, 2, 2.5, "2", float("nan"), float("inf")]
