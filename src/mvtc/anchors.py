@@ -102,7 +102,7 @@ def build_anchor_graph(view: np.ndarray, anchors: np.ndarray, sigma: float) -> n
     squared norms overflow select no entry and leave a non-finite graph,
     which the solver rejects.
 
-    The product ``anchors^T view`` is written straight into the output, and
+    The product ``-2 anchors^T view`` is written straight into the output, and
     the elementwise passes then run in place over tiles of whole rows:
     ``GRAPH_TILE`` entries, or one row when a row is longer.  Beyond the
     output, only two tile buffers and the squared norms are held.
@@ -118,15 +118,17 @@ def build_anchor_graph(view: np.ndarray, anchors: np.ndarray, sigma: float) -> n
     rows = max(GRAPH_TILE // max(n, 1), 1)
     sums_buf, dust_buf = np.empty((rows, n)), np.empty((rows, n), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is rejected downstream
-        out = anchors.T @ view
+        # doubling is exact short of over- or underflow, so this is -2 a^T x to the bit
+        out = (-2.0 * anchors).T @ view
         aa = np.einsum("dm,dm->m", anchors, anchors)
         bb = np.einsum("dn,dn->n", view, view)
         for top in range(0, m, rows):
             d2 = out[top:top + rows]
             sums = np.add.outer(aa[top:top + rows], bb, out=sums_buf[:len(d2)])
-            _distances_from_product(d2, sums)
+            d2 += sums  # bit-equal to sums - 2.0 * (a.T @ b)
             sums *= 1e-11  # the dust threshold
-            # strict: an inf or NaN threshold selects nothing
+            # strict: an inf or NaN threshold selects nothing, and a negative
+            # distance always falls below it, so it needs no clip at 0
             dust = np.less(d2, sums, out=dust_buf[:len(d2)])
             hits = np.flatnonzero(dust)
             if hits.size:

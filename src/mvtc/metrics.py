@@ -1,8 +1,9 @@
 """Clustering agreement scores, each computed from a contingency table.
 
-All seven scores are invariant under relabeling of either argument.  Pair
-counts and the optimal-assignment accuracy are evaluated in exact integer
-arithmetic, so small worked examples come out bit-exact.
+``clustering_scores`` builds the table once for all seven; each public score
+builds its own.  All seven are invariant under relabeling of either argument.
+Pair counts and the optimal-assignment accuracy are evaluated in exact
+integer arithmetic, so small worked examples come out bit-exact.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ def contingency_table(pred, truth) -> ContingencyTable:
         raise LengthMismatch(f"{pred.size} predictions vs {truth.size} truths")
     if pred.size == 0:
         raise EmptyInput("no samples")
-    _, pi = np.unique(pred, return_inverse=True)
-    _, ti = np.unique(truth, return_inverse=True)
-    counts = np.zeros((pi.max() + 1, ti.max() + 1), dtype=np.int64)
-    np.add.at(counts, (pi, ti), 1)
+    pred_ids, pi = np.unique(pred, return_inverse=True)
+    true_ids, ti = np.unique(truth, return_inverse=True)
+    shape = (pred_ids.size, true_ids.size)
+    counts = np.bincount(pi * shape[1] + ti, minlength=shape[0] * shape[1]).reshape(shape)
     return ContingencyTable(
         counts=counts,
         n=int(pred.size),
@@ -56,16 +57,11 @@ def contingency_table(pred, truth) -> ContingencyTable:
 def accuracy(pred, truth) -> float:
     """Best-case label-matched accuracy over injective cluster-to-class maps.
 
-    The contingency table is padded to square with zero rows/columns and
-    the maximum-weight assignment is taken (Hungarian method on the
-    negated table).
+    The maximum-weight assignment on the contingency table is taken
+    (Hungarian method on the negated table, rectangular when the cluster
+    and class counts differ).
     """
-    t = contingency_table(pred, truth)
-    side = max(t.counts.shape)
-    padded = np.zeros((side, side), dtype=np.int64)
-    padded[: t.counts.shape[0], : t.counts.shape[1]] = t.counts
-    rows, cols = linear_sum_assignment(-padded)
-    return int(padded[rows, cols].sum()) / t.n
+    return _accuracy(contingency_table(pred, truth))
 
 
 def nmi(pred, truth) -> float:
@@ -75,7 +71,51 @@ def nmi(pred, truth) -> float:
     case) score 1.0; if exactly one side has zero entropy the partitions
     differ and the score is 0.0.
     """
+    return _nmi(contingency_table(pred, truth))
+
+
+def purity(pred, truth) -> float:
+    """Fraction of samples in the majority true class of their cluster."""
+    return _purity(contingency_table(pred, truth))
+
+
+def pairwise_prf(pred, truth) -> tuple[float, float, float]:
+    """Pair-counting precision, recall, and F-score; every 0/0 maps to 0."""
+    return _pairwise_prf(contingency_table(pred, truth))
+
+
+def ari(pred, truth) -> float:
+    """Adjusted Rand index from contingency pair counts, in [-1, 1].
+
+    Evaluated as a ratio of integers (both sides scaled by twice the total
+    pair count), so small cases are exact.  A zero denominator only occurs
+    when both partitions are all-singletons or both are one cluster, i.e.
+    identical, which scores 1.0.
+    """
+    return _ari(contingency_table(pred, truth))
+
+
+def clustering_scores(pred, truth) -> dict[str, float]:
+    """All seven scores, from one contingency table, keyed the way the run report expects them."""
     t = contingency_table(pred, truth)
+    precision, recall, f_score = _pairwise_prf(t)
+    return {
+        "acc": _accuracy(t),
+        "nmi": _nmi(t),
+        "purity": _purity(t),
+        "fscore": f_score,
+        "precision": precision,
+        "recall": recall,
+        "ari": _ari(t),
+    }
+
+
+def _accuracy(t: ContingencyTable) -> float:
+    rows, cols = linear_sum_assignment(-t.counts)
+    return int(t.counts[rows, cols].sum()) / t.n
+
+
+def _nmi(t: ContingencyTable) -> float:
     if _is_identical_partition(t):
         return 1.0
     h_pred = _entropy(t.row_sums, t.n)
@@ -89,15 +129,12 @@ def nmi(pred, truth) -> float:
     return float(np.clip(info / np.sqrt(h_pred * h_true), 0.0, 1.0))
 
 
-def purity(pred, truth) -> float:
-    """Fraction of samples in the majority true class of their cluster."""
-    t = contingency_table(pred, truth)
+def _purity(t: ContingencyTable) -> float:
     return int(t.counts.max(axis=1).sum()) / t.n
 
 
-def pairwise_prf(pred, truth) -> tuple[float, float, float]:
-    """Pair-counting precision, recall, and F-score; every 0/0 maps to 0."""
-    _, tp, pairs_pred, pairs_true = _pair_counts(pred, truth)
+def _pairwise_prf(t: ContingencyTable) -> tuple[float, float, float]:
+    _, tp, pairs_pred, pairs_true = _pair_counts(t)
     precision = tp / pairs_pred if pairs_pred else 0.0
     recall = tp / pairs_true if pairs_true else 0.0
     f_score = (
@@ -106,15 +143,8 @@ def pairwise_prf(pred, truth) -> tuple[float, float, float]:
     return precision, recall, f_score
 
 
-def ari(pred, truth) -> float:
-    """Adjusted Rand index from contingency pair counts, in [-1, 1].
-
-    Evaluated as a ratio of integers (both sides scaled by twice the total
-    pair count), so small cases are exact.  A zero denominator only occurs
-    when both partitions are all-singletons or both are one cluster, i.e.
-    identical, which scores 1.0.
-    """
-    total, sum_ij, pa, pb = _pair_counts(pred, truth)
+def _ari(t: ContingencyTable) -> float:
+    total, sum_ij, pa, pb = _pair_counts(t)
     numerator = 2 * total * sum_ij - 2 * pa * pb
     denominator = total * (pa + pb) - 2 * pa * pb
     if denominator == 0:
@@ -122,23 +152,8 @@ def ari(pred, truth) -> float:
     return numerator / denominator
 
 
-def clustering_scores(pred, truth) -> dict[str, float]:
-    """All seven scores keyed the way the run report expects them."""
-    precision, recall, f_score = pairwise_prf(pred, truth)
-    return {
-        "acc": accuracy(pred, truth),
-        "nmi": nmi(pred, truth),
-        "purity": purity(pred, truth),
-        "fscore": f_score,
-        "precision": precision,
-        "recall": recall,
-        "ari": ari(pred, truth),
-    }
-
-
-def _pair_counts(pred, truth) -> tuple[int, int, int, int]:
+def _pair_counts(t: ContingencyTable) -> tuple[int, int, int, int]:
     """Total pairs, and the pairs together in both partitions, in ``pred`` and in ``truth``."""
-    t = contingency_table(pred, truth)
     if t.n < 2:
         raise EmptyInput("pair counting needs at least 2 samples")
     together = (int((c * (c - 1) // 2).sum()) for c in (t.counts, t.row_sums, t.col_sums))

@@ -1,10 +1,11 @@
 """End-to-end pipeline: anchors -> graphs -> solver -> k-means -> scores.
 
-Every stage is individually importable; ``run_pipeline`` wires them up,
-times them, and packages a JSON-serializable :class:`RunReport`.  All
-non-timing report content is a deterministic function of (dataset, config,
-seed, BLAS thread count): BLAS sums in a thread-dependent order, so the
-objective trace can differ in its last digits between thread counts.
+Every stage is individually importable.  ``run_pipeline`` times its stages
+with ``_timed`` (the graph stage, ``_embed``, frees its arrays as it returns)
+and packages a JSON-serializable :class:`RunReport`.  All non-timing report
+content is a deterministic function of (dataset, config, seed, BLAS thread
+count): BLAS sums in a thread-dependent order, so the objective trace can
+differ in its last digits between thread counts.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import scipy
 
 from . import __version__
 from .anchors import build_all_graphs, select_anchors
-from .clustering import ClusterModel, kmeans_fit
+from .clustering import kmeans_fit
 from .data import MultiViewDataset
 from .errors import ValidationError, check_int, check_switch
 from .metrics import clustering_scores
@@ -111,110 +112,103 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig, out_path=Non
     input order.  ``config.threads`` sets the BLAS threads for the run.
     """
     with _thread_cap(config.threads):
-        return _cluster(dataset, config, out_path)
+        t_total = time.perf_counter()
+        n = dataset.n_samples
+        n_clusters = config.n_clusters if config.n_clusters is not None else dataset.n_clusters
+        if n_clusters is None:
+            raise ValidationError("cluster count unknown: set it in the config or manifest")
+        check_int("n_clusters", n_clusters, 1)
+        embed_dim = config.embed_dim if config.embed_dim is not None else n_clusters
+        n_anchors = config.n_anchors if config.n_anchors is not None else min(DEFAULT_ANCHORS, n)
+        solver_cfg = SolverConfig(
+            embed_dim=embed_dim, smooth_embeddings=not config.no_igs,
+            **{f.name: getattr(config, f.name) for f in fields(SolverSettings)},
+        )
+        if config.no_isc:
+            solver_cfg = replace(solver_cfg, beta=0.0)
+
+        timings = {}
+        order, kernel_widths, state = _embed(
+            dataset.views, n_anchors, config.kernel_width, solver_cfg, timings
+        )
+        # k-means reads only the consensus.  The state is kept: freeing its
+        # tensors here made k-means fault their pages back in.  The lowest
+        # inertia wins, and a tie keeps the earliest restart.
+        with _timed(timings, "kmeans_s"):
+            model = min((kmeans_fit(state.consensus, n_clusters, seed=config.seed + r)
+                         for r in range(config.restarts)), key=lambda m: m.inertia)
+
+        labels_pred = np.empty_like(model.labels)
+        labels_pred[order] = model.labels  # back to the caller's sample order
+
+        scores = None if dataset.labels is None else clustering_scores(labels_pred, dataset.labels)
+
+        report = RunReport(
+            dataset={
+                "name": dataset.name,
+                "n_samples": n,
+                "n_views": dataset.n_views,
+                "view_dims": [int(v.shape[0]) for v in dataset.views],
+                "n_clusters": int(n_clusters),
+                "has_labels": dataset.labels is not None,
+            },
+            config={
+                "n_clusters": int(n_clusters),
+                "embed_dim": int(embed_dim),
+                "n_anchors": int(n_anchors),
+                # the shared solver settings as the solver ran them (beta is 0 under no_isc);
+                # seed has its own top-level key
+                **{f.name: type(f.default)(getattr(solver_cfg, f.name))
+                   for f in fields(SolverSettings) if f.name != "seed"},
+                "restarts": int(config.restarts),
+                "kernel_width_per_view": [float(s) for s in kernel_widths],
+                "no_isc": bool(config.no_isc),
+                "no_igs": bool(config.no_igs),
+            },
+            metrics=scores,
+            labels_pred=labels_pred.tolist(),
+            objective_trace=[float(v) for v in state.objective_trace],
+            iterations=int(state.iterations),
+            timings={**timings, "total_s": time.perf_counter() - t_total},
+            seed=int(config.seed),
+            versions={
+                "mvtc": __version__,
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+            },
+        )
+        if out_path is not None:  # the text is formed before the file is opened
+            Path(out_path).write_text(report.to_json(), encoding="utf-8")
+        return report
 
 
-def _cluster(dataset: MultiViewDataset, config: PipelineConfig, out_path) -> RunReport:
-    t_total = time.perf_counter()
-    n = dataset.n_samples
-    n_clusters = config.n_clusters if config.n_clusters is not None else dataset.n_clusters
-    if n_clusters is None:
-        raise ValidationError("cluster count unknown: set it in the config or manifest")
-    check_int("n_clusters", n_clusters, 1)
-    embed_dim = config.embed_dim if config.embed_dim is not None else n_clusters
-    n_anchors = config.n_anchors if config.n_anchors is not None else min(DEFAULT_ANCHORS, n)
-    solver_cfg = SolverConfig(
-        embed_dim=embed_dim, smooth_embeddings=not config.no_igs,
-        **{f.name: getattr(config, f.name) for f in fields(SolverSettings)},
-    )
-    if config.no_isc:
-        solver_cfg = replace(solver_cfg, beta=0.0)
+def _embed(views, n_anchors, kernel_width, solver_cfg, timings):
+    """Order the samples, build their anchor graphs and solve: ``(order, widths, state)``.
 
+    Times both steps into ``timings``; the graphs are released on return.
+    """
+    with _timed(timings, "graph_build_s"):
+        order = sample_norm_order(views)
+        views = [np.ascontiguousarray(v[:, order]) for v in views]
+        anchor_set = select_anchors(views, n_anchors, solver_cfg.seed, kernel_width=kernel_width)
+        graphs, widths = build_all_graphs(views, anchor_set), anchor_set.sigma_per_view
+        del views, anchor_set  # the solve holds the graphs and no other large array
+    with _timed(timings, "solve_s"):
+        return order, widths, solver_run(graphs, solver_cfg)
+
+
+@contextmanager
+def _timed(timings: dict, key: str):
+    """Store the block's wall time, in seconds, as ``timings[key]``."""
     t0 = time.perf_counter()
-    order = sample_norm_order(dataset.views)
-    views = [np.ascontiguousarray(v[:, order]) for v in dataset.views]
-    anchor_set = select_anchors(views, n_anchors, config.seed, kernel_width=config.kernel_width)
-    graphs = build_all_graphs(views, anchor_set)
-    kernel_widths = anchor_set.sigma_per_view
-    del views, anchor_set  # from here on the graphs are the only large arrays
-    graph_build_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    state = solver_run(graphs, solver_cfg)
-    solve_s = time.perf_counter() - t0
-    # k-means reads only the consensus.  The state is kept: freeing its
-    # tensors here made k-means fault their pages back in.
-    del graphs
-
-    t0 = time.perf_counter()
-    model = _best_kmeans(state.consensus, n_clusters, config)
-    kmeans_s = time.perf_counter() - t0
-
-    labels_pred = np.empty_like(model.labels)
-    labels_pred[order] = model.labels  # back to the caller's sample order
-
-    scores = None
-    if dataset.labels is not None:
-        scores = clustering_scores(labels_pred, dataset.labels)
-
-    report = RunReport(
-        dataset={
-            "name": dataset.name,
-            "n_samples": n,
-            "n_views": dataset.n_views,
-            "view_dims": [int(v.shape[0]) for v in dataset.views],
-            "n_clusters": int(n_clusters),
-            "has_labels": dataset.labels is not None,
-        },
-        config={
-            "n_clusters": int(n_clusters),
-            "embed_dim": int(embed_dim),
-            "n_anchors": int(n_anchors),
-            # the shared solver settings as the solver ran them (beta is 0 under no_isc);
-            # seed has its own top-level key
-            **{f.name: type(f.default)(getattr(solver_cfg, f.name))
-               for f in fields(SolverSettings) if f.name != "seed"},
-            "restarts": int(config.restarts),
-            "kernel_width_per_view": [float(s) for s in kernel_widths],
-            "no_isc": bool(config.no_isc),
-            "no_igs": bool(config.no_igs),
-        },
-        metrics=scores,
-        labels_pred=labels_pred.tolist(),
-        objective_trace=[float(v) for v in state.objective_trace],
-        iterations=int(state.iterations),
-        timings={
-            "graph_build_s": graph_build_s,
-            "solve_s": solve_s,
-            "kmeans_s": kmeans_s,
-            "total_s": time.perf_counter() - t_total,
-        },
-        seed=int(config.seed),
-        versions={
-            "mvtc": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-        },
-    )
-    if out_path is not None:  # the text is formed before the file is opened
-        Path(out_path).write_text(report.to_json(), encoding="utf-8")
-    return report
+    yield
+    timings[key] = time.perf_counter() - t0
 
 
 def sample_norm_order(views: list[np.ndarray]) -> np.ndarray:
     """Sample indices sorted ascending by concatenated-feature L2 norm."""
     norms = sum(np.einsum("dn,dn->n", v, v) for v in views)
     return np.argsort(norms, kind="stable")
-
-
-def _best_kmeans(consensus: np.ndarray, n_clusters: int, config: PipelineConfig) -> ClusterModel:
-    """Lowest-inertia fit over ``restarts`` seeds (ties keep the earliest)."""
-    best = None
-    for r in range(config.restarts):
-        model = kmeans_fit(consensus, n_clusters, seed=config.seed + r)
-        if best is None or model.inertia < best.inertia:
-            best = model
-    return best
 
 
 @contextmanager

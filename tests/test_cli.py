@@ -381,6 +381,36 @@ def test_graphs_are_released_before_kmeans(monkeypatch):
     assert alive == [0, 0]
 
 
+# The names perfbench hooks in mvtc.pipeline, as the run looks them up.
+PIPELINE_HOOKS = ("sample_norm_order", "select_anchors", "build_all_graphs", "solver_run",
+                  "kmeans_fit", "clustering_scores")
+
+
+@pytest.mark.parametrize("labelled", [True, False], ids=["labels", "no-labels"])
+def test_run_calls_each_hooked_name_as_often_as_perfbench_expects(
+    tmp_path, monkeypatch, labelled
+):
+    calls = dict.fromkeys(PIPELINE_HOOKS + ("RunReport.to_json",), 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in PIPELINE_HOOKS:
+        monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
+    monkeypatch.setattr(RunReport, "to_json", counting("RunReport.to_json", RunReport.to_json))
+    dataset = generate_synthetic(60, 3, 3, [4, 5, 6], noise=0.1, seed=0)
+    if not labelled:
+        dataset = type(dataset)(views=dataset.views, labels=None, n_clusters=3)
+    run_pipeline(dataset, PipelineConfig(restarts=3), out_path=tmp_path / "report.json")
+    assert calls == {
+        "sample_norm_order": 1, "select_anchors": 1, "build_all_graphs": 1, "solver_run": 1,
+        "kmeans_fit": 3, "clustering_scores": int(labelled), "RunReport.to_json": 1,
+    }
+
+
 def test_validation_error_exit_code_and_record(capsys):
     code, _, stderr = run_cli(
         capsys,
@@ -455,16 +485,26 @@ def test_unwritable_out_exits_2_with_one_json_line(tmp_path, capsys, sub):
 
 
 @pytest.mark.parametrize(
-    "width_args, error",
-    [([], "DegenerateView"), (["--kernel-width", "1"], "SingularSystem")],
-    ids=["estimated-width", "given-width"],
+    "largest, width_args, error",
+    [
+        (None, [], "DegenerateView"),
+        (None, ["--kernel-width", "1"], "SingularSystem"),
+        # near the largest float, where doubling an anchor overflows too
+        (9.5e307, [], "DegenerateView"),
+        (9.5e307, ["--kernel-width", "1"], "SingularSystem"),
+        (1.7e308, [], "DegenerateView"),
+        (1.7e308, ["--kernel-width", "1"], "SingularSystem"),
+    ],
+    ids=["estimated-width", "given-width", "estimated-width-max-9.5e307",
+         "given-width-max-9.5e307", "estimated-width-max-1.7e308", "given-width-max-1.7e308"],
 )
 def test_huge_finite_view_values_exit_3_with_one_json_line(
-    tmp_path, capsys, recwarn, width_args, error
+    tmp_path, capsys, recwarn, largest, width_args, error
 ):
-    # finite values whose squared distances overflow to inf and then NaN
+    # finite values whose squared distances overflow to inf and then NaN;
+    # None scales the view by 1e200, a number scales its largest magnitude to it
     ds = generate_synthetic(60, 2, 2, [4, 5], noise=0.1, seed=0)
-    ds.views[1] *= 1e200
+    ds.views[1] *= 1e200 if largest is None else largest / np.abs(ds.views[1]).max()
     manifest = save_dataset(ds, tmp_path / "ds")
     code, _, stderr = run_cli(
         capsys, "run", "--manifest", str(manifest), "--anchors", "20", *width_args

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvtc import metrics
 from mvtc.errors import EmptyInput, LengthMismatch
 from mvtc.metrics import (
     accuracy,
@@ -239,3 +240,31 @@ def test_clustering_scores_bundle():
     scores = clustering_scores([0, 0, 1, 1], [1, 1, 0, 0])
     assert set(scores) == {"acc", "nmi", "purity", "fscore", "precision", "recall", "ari"}
     assert all(v == 1.0 for v in scores.values())
+
+
+def test_clustering_scores_builds_one_contingency_table(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return contingency_table(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "contingency_table", counting)
+    clustering_scores([0, 0, 1, 1, 2, 2], [1, 1, 0, 0, 0, 1])
+    assert len(calls) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=label_arrays)
+def test_clustering_scores_equal_the_per_metric_functions(data):
+    pred, truth = data
+    precision, recall, f_score = pairwise_prf(pred, truth)
+    assert clustering_scores(pred, truth) == {
+        "acc": accuracy(pred, truth),
+        "nmi": nmi(pred, truth),
+        "purity": purity(pred, truth),
+        "fscore": f_score,
+        "precision": precision,
+        "recall": recall,
+        "ari": ari(pred, truth),
+    }
