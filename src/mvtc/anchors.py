@@ -151,7 +151,7 @@ def select_anchors(
     if not 1 <= m <= n:
         raise TooManyAnchors(f"requested {m} anchors from {n} samples")
     indices = np.random.default_rng(seed).choice(n, size=m, replace=False)
-    anchor_cols = [np.ascontiguousarray(v[:, indices]) for v in views]
+    anchor_cols = [np.take(v, indices, axis=1) for v in views]
     if kernel_width is None:
         sigmas = [estimate_kernel_width(v, a, seed=seed) for v, a in zip(views, anchor_cols)]
     else:

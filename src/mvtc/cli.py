@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import fields
 
@@ -66,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--preset", choices=sorted(PRESETS), default=None, help="published hyperparameter preset")
     run_p.add_argument("--no-isc", action="store_true", help="ablation: drop the consensus coupling (beta=0)")
     run_p.add_argument("--no-igs", action="store_true", help="ablation: skip low-frequency smoothing")
-    run_p.add_argument("--threads", type=int, default=None, help="BLAS thread cap (also env MVTC_THREADS)")
+    run_p.add_argument("--threads", type=int, default=None, help="numpy's BLAS threads for the run (scipy's run on 1)")
     run_p.add_argument("--out", default=None, help="write the JSON report here")
     run_p.set_defaults(handler=_cmd_run)
 
@@ -96,11 +95,6 @@ def _cmd_run(args) -> int:
     names = {f.name for f in fields(PipelineConfig)}
     settings.update((k, v) for k, v in vars(args).items() if k in names and v is not None)
     settings["kernel_width"] = _parse_kernel_width(args.kernel_width)
-    if args.threads is None and os.environ.get("MVTC_THREADS"):
-        try:
-            settings["threads"] = int(os.environ["MVTC_THREADS"])
-        except ValueError as exc:
-            raise ValidationError(f"MVTC_THREADS must be an integer: {exc}") from exc
     config = PipelineConfig(**settings)  # checked before any data is read
     if args.manifest:
         dataset = load_dataset(args.manifest)

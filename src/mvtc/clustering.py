@@ -94,7 +94,7 @@ def _weighted_seed(x: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarra
             idx = min(i for i in range(n) if i not in chosen)
         chosen.append(idx)
         np.minimum(d2, _distances_to(x, norms, idx), out=d2)
-    return x[:, chosen].copy()
+    return np.take(x, chosen, axis=1)
 
 
 def _distances_to(x: np.ndarray, norms: np.ndarray, i: int) -> np.ndarray:

@@ -3,9 +3,9 @@
 Every stage is individually importable.  ``run_pipeline`` times its stages
 with ``_timed`` (the graph stage, ``_embed``, frees its arrays as it returns)
 and packages a JSON-serializable :class:`RunReport`.  All non-timing report
-content is a deterministic function of (dataset, config, seed, BLAS thread
-count): BLAS sums in a thread-dependent order, so the objective trace can
-differ in its last digits between thread counts.
+content is a deterministic function of (dataset, config, seed, numpy BLAS
+pool's thread count; scipy's runs on one): BLAS sums in a thread-dependent
+order, so the objective trace can differ in its last digits between counts.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -29,13 +30,6 @@ from .metrics import clustering_scores
 from .solver import SolverConfig, SolverSettings, run as solver_run
 
 DEFAULT_ANCHORS = 1000  # clamped to N on smaller datasets
-
-# (package, library glob beside its directory, symbol suffix) of the
-# OpenBLAS copy that the package's wheel bundles.
-_OPENBLAS = (
-    (np, "numpy.libs/libscipy_openblas64_*.so", "64_"),
-    (scipy, "scipy.libs/libscipy_openblas-*.so", ""),
-)
 
 # Hyperparameter presets for the public benchmark datasets, keyed by the
 # conventional dataset names.  Useful only to users who obtain the data.
@@ -58,7 +52,7 @@ class PipelineConfig(SolverSettings):
     kernel_width: list[float] | float | None = None
     no_isc: bool = False   # drop the consensus coupling (beta forced to 0)
     no_igs: bool = False   # skip low-frequency smoothing (tensor passes through)
-    threads: int | None = None
+    threads: int | None = None   # numpy's BLAS pool; None keeps its count (scipy's runs on 1)
 
     def __post_init__(self):
         """Check the shared solver settings, then the pipeline's integer fields and switches.
@@ -109,7 +103,8 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig, out_path=Non
     sit near each other; the norm order provides one that does not depend
     on how the files were written.  Anchors are drawn uniformly over the
     samples in this order, and reported labels are mapped back to the
-    input order.  ``config.threads`` sets the BLAS threads for the run.
+    input order.  ``config.threads`` sets numpy's BLAS threads for the run,
+    and scipy's run on one (see ``_thread_cap``).
     """
     with _thread_cap(config.threads):
         t_total = time.perf_counter()
@@ -189,7 +184,7 @@ def _embed(views, n_anchors, kernel_width, solver_cfg, timings):
     """
     with _timed(timings, "graph_build_s"):
         order = sample_norm_order(views)
-        views = [np.ascontiguousarray(v[:, order]) for v in views]
+        views = [np.take(v, order, axis=1) for v in views]
         anchor_set = select_anchors(views, n_anchors, solver_cfg.seed, kernel_width=kernel_width)
         graphs, widths = build_all_graphs(views, anchor_set), anchor_set.sigma_per_view
         del views, anchor_set  # the solve holds the graphs and no other large array
@@ -213,23 +208,32 @@ def sample_norm_order(views: list[np.ndarray]) -> np.ndarray:
 
 @contextmanager
 def _thread_cap(threads: int | None):
-    """Run the block with each bundled OpenBLAS copy on ``threads`` (>= 1) threads.
+    """Run the block with numpy's OpenBLAS pool on ``threads`` threads and scipy's on one.
 
-    numpy and scipy each bundle one (products run on numpy's, Cholesky on
-    scipy's); counts are set through ctypes and restored on exit.  ``None``,
-    or a build linked against another BLAS, leaves the pools as they are.
+    Products run on numpy's copy (``None`` keeps its count); scipy's only factors
+    M x M systems, and two threaded pools slow each other down.  Both are restored.
     """
     restore = []
-    for package, pattern, suffix in _OPENBLAS if threads is not None else ():
-        for path in sorted(Path(package.__file__).resolve().parent.parent.glob(pattern))[:1]:
-            lib = ctypes.CDLL(str(path))
-            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-            put = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                restore.append((put, get()))
-                put(threads)
+    for pool, count in zip(_openblas_pools(), (threads, 1)):
+        if pool is not None and count is not None:
+            get, put = pool
+            restore.append((put, get()))
+            put(count)
     try:
         yield
     finally:
         for put, count in restore:
             put(count)
+
+
+@cache
+def _openblas_pools():
+    """The ``(get, set)`` thread-count pair of numpy's and of scipy's bundled OpenBLAS, or None."""
+    pools = []
+    for package, pattern, suffix in ((np, "numpy.libs/libscipy_openblas64_*.so", "64_"),
+                                     (scipy, "scipy.libs/libscipy_openblas-*.so", "")):
+        found = sorted(Path(package.__file__).resolve().parent.parent.glob(pattern))
+        lib = ctypes.CDLL(str(found[0])) if found else None
+        pair = tuple(getattr(lib, f"scipy_openblas_{op}_num_threads{suffix}", None) for op in ("get", "set"))
+        pools.append(None if None in pair else pair)
+    return tuple(pools)

@@ -1,5 +1,4 @@
 import contextlib
-import ctypes
 import importlib
 import importlib.util
 import io
@@ -218,13 +217,6 @@ def test_malformed_flag_values_exit_cleanly(argv, capsys):
     assert len(lines) == 1, err
     record = json.loads(lines[0])
     assert record["error"] and record["message"]
-
-
-def test_non_integer_threads_variable_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("MVTC_THREADS", "x")
-    code, _, err = run_cli(capsys, *SMALL_RUN)
-    assert code == 2
-    assert json.loads(err)["message"].startswith("MVTC_THREADS must be an integer")
 
 
 @pytest.mark.parametrize(
@@ -771,7 +763,7 @@ def test_readme_run_defaults_match_solver_config():
         assert float(stated.group(1)) == getattr(owner, field), flag
 
 
-def test_threads_flag_and_env(tmp_path, capsys, monkeypatch):
+def test_threads_flag_leaves_the_report_unchanged(capsys):
     args = (
         "run",
         "--synthetic", "n=40,c=2,v=1,dims=4,noise=0.1,seed=0",
@@ -782,26 +774,31 @@ def test_threads_flag_and_env(tmp_path, capsys, monkeypatch):
     assert code == 0
     code, with_flag, _ = run_cli(capsys, *args, "--threads", "1")
     assert code == 0
-    monkeypatch.setenv("MVTC_THREADS", "1")
-    code, with_env, _ = run_cli(capsys, *args)
-    assert code == 0
-    reports = [json.loads(s) for s in (baseline, with_flag, with_env)]
+    reports = [json.loads(s) for s in (baseline, with_flag)]
     for r in reports:
         r.pop("timings")
-    assert reports[0] == reports[1] == reports[2]  # results independent of the cap
+    assert reports[0] == reports[1]  # results independent of the cap
+
+
+@pytest.fixture
+def pools():
+    """numpy's and scipy's bundled OpenBLAS ``(get, set)`` pairs; their counts are restored after the test."""
+    found = pipeline._openblas_pools()
+    if None in found:
+        pytest.skip("no bundled OpenBLAS copy found beside numpy or scipy")
+    before = openblas_threads()
+    yield found
+    for (_, put), count in zip(found, before):
+        put(count)
 
 
 def openblas_threads():
-    """Thread count of each bundled OpenBLAS copy found."""
-    counts = []
-    for package, pattern, suffix in pipeline._OPENBLAS:
-        for path in sorted(Path(package.__file__).resolve().parent.parent.glob(pattern))[:1]:
-            lib = ctypes.CDLL(str(path))
-            counts.append(getattr(lib, f"scipy_openblas_get_num_threads{suffix}")())
-    return counts
+    """Thread count of numpy's and of scipy's bundled OpenBLAS copy."""
+    return [get() for get, _ in pipeline._openblas_pools()]
 
 
-def test_threads_flag_sets_bundled_openblas_for_the_run(capsys, monkeypatch):
+def threads_seen_by_the_solve(monkeypatch) -> list:
+    """Make each solve append ``openblas_threads()`` to the returned list."""
     seen = []
     solve = pipeline.solver_run
 
@@ -810,16 +807,47 @@ def test_threads_flag_sets_bundled_openblas_for_the_run(capsys, monkeypatch):
         return solve(graphs, cfg)
 
     monkeypatch.setattr(pipeline, "solver_run", spy)
+    return seen
+
+
+def test_threads_flag_sets_bundled_openblas_for_the_run(capsys, monkeypatch, pools):
+    seen = threads_seen_by_the_solve(monkeypatch)
     before = openblas_threads()
-    if not before:
-        pytest.skip("no bundled OpenBLAS copy found beside numpy or scipy")
     code, _, _ = run_cli(
         capsys, "run", "--synthetic", "n=40,c=2,v=1,dims=4,noise=0.1,seed=0",
-        "--anchors", "10", "--threads", "1",
+        "--anchors", "10", "--threads", "2",
     )
     assert code == 0
-    assert seen == [[1] * len(before)]
+    assert seen == [[2, 1]]  # numpy's pool takes --threads, scipy's runs on one
     assert openblas_threads() == before  # restored after the run
+
+
+def test_default_run_keeps_numpy_pool_and_runs_scipy_pool_on_one_thread(capsys, monkeypatch, pools):
+    seen = threads_seen_by_the_solve(monkeypatch)
+    _, (_, set_scipy) = pools
+    set_scipy(2)  # so the test holds where the environment pins one thread
+    before = openblas_threads()
+    code, _, _ = run_cli(
+        capsys, "run", "--synthetic", "n=40,c=2,v=1,dims=4,noise=0.1,seed=0", "--anchors", "10",
+    )
+    assert code == 0
+    assert seen == [[before[0], 1]]
+    assert openblas_threads() == [before[0], 2]
+
+
+def test_run_that_raises_restores_both_pools(monkeypatch, pools):
+    def fail(graphs, cfg):
+        assert openblas_threads() == [2, 1]
+        raise SingularSystem("raised inside the thread cap")
+
+    monkeypatch.setattr(pipeline, "solver_run", fail)
+    (_, set_numpy), (_, set_scipy) = pools
+    set_numpy(1)
+    set_scipy(2)
+    dataset = generate_synthetic(40, 2, n_views=1, dims=[4], noise=0.1, seed=0)
+    with pytest.raises(SingularSystem, match="inside the thread cap"):
+        run_pipeline(dataset, PipelineConfig(n_anchors=10, threads=2))
+    assert openblas_threads() == [1, 2]
 
 
 def test_readme_commands_and_paths_exist(capsys):
