@@ -51,11 +51,10 @@ class PipelineConfig(SolverSettings):
     restarts: int = 1
     kernel_width: list[float] | float | None = None
     no_isc: bool = False   # drop the consensus coupling (beta forced to 0)
-    no_igs: bool = False   # skip low-frequency smoothing (tensor passes through)
     threads: int | None = None   # numpy's BLAS pool; None keeps its count (scipy's runs on 1)
 
     def __post_init__(self):
-        """Check the shared solver settings, then the pipeline's integer fields and switches.
+        """Check the shared solver settings, then the pipeline's integer fields and switch.
 
         The ranges of ``n_clusters``, ``embed_dim`` and ``n_anchors`` depend
         on the data and are checked at the run, as are the kernel widths,
@@ -68,8 +67,7 @@ class PipelineConfig(SolverSettings):
             if getattr(self, name) is not None:
                 check_int(name, getattr(self, name), least, most=most)
         check_int("restarts", self.restarts, 1)
-        for name in ("no_isc", "no_igs"):
-            check_switch(name, getattr(self, name))
+        check_switch("no_isc", self.no_isc)
 
 
 @dataclass
@@ -116,8 +114,7 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig, out_path=Non
         embed_dim = config.embed_dim if config.embed_dim is not None else n_clusters
         n_anchors = config.n_anchors if config.n_anchors is not None else min(DEFAULT_ANCHORS, n)
         solver_cfg = SolverConfig(
-            embed_dim=embed_dim, smooth_embeddings=not config.no_igs,
-            **{f.name: getattr(config, f.name) for f in fields(SolverSettings)},
+            embed_dim=embed_dim, **{f.name: getattr(config, f.name) for f in fields(SolverSettings)}
         )
         if config.no_isc:
             solver_cfg = replace(solver_cfg, beta=0.0)
@@ -158,7 +155,6 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig, out_path=Non
                 "restarts": int(config.restarts),
                 "kernel_width_per_view": [float(s) for s in kernel_widths],
                 "no_isc": bool(config.no_isc),
-                "no_igs": bool(config.no_igs),
             },
             metrics=scores,
             labels_pred=labels_pred.tolist(),

@@ -17,10 +17,10 @@ reading of the smoothing penalty, the hard truncation is the exact
 minimizer whatever the weight, so no weight schedule is kept.
 
 Each view's ridge matrix phi_v phi_v^T + lam I is formed and checked once,
-before the loop.  Once the V projections are updated the previous
-embeddings are released, and the V new ones are written straight into the
-slices of one freshly allocated (K, V, N) tensor, which the truncation and
-the objective's coupling term read as it is; a snapshot handed to a
+before the loop.  The embeddings live in one (K, V, N) tensor, which the
+truncation, the consensus and the objective read as it is.  Once the V
+projections are updated it is released, and the V new embeddings are
+written straight into the slices of a fresh one, so a snapshot handed to a
 callback keeps its own tensor.  ``U_v phi_v`` is formed once per view and
 iteration: the embedding blend uses it, and the same buffer then yields the
 fit term ||B_v - U_v phi_v||^2 for the objective and serves as its scratch.
@@ -72,6 +72,7 @@ class SolverSettings:
     max_iters: int = 7
     seed: int = 0
     early_stop_tol: float = 0.0
+    no_igs: bool = False        # skip step 3: the embedding tensor passes through
 
     def __post_init__(self):
         check_int("low_freq", self.low_freq, 1, InvalidLowFrequencyParameter)
@@ -79,31 +80,33 @@ class SolverSettings:
             check_real(name, getattr(self, name))
         for name in ("max_iters", "seed"):
             check_int(name, getattr(self, name), 0)
+        check_switch("no_igs", self.no_igs)
 
 
 @dataclass(kw_only=True)
 class SolverConfig(SolverSettings):
-    """Hyperparameters of the alternating solver: the shared settings and two of its own."""
+    """Hyperparameters of the alternating solver: the shared settings and the embedding size."""
 
     embed_dim: int
-    smooth_embeddings: bool = True  # False: step 3 passes the stacked tensor through
 
     def __post_init__(self):
         check_int("embed_dim", self.embed_dim, 2, EmbedDimTooSmall)
         super().__post_init__()
-        check_switch("smooth_embeddings", self.smooth_embeddings)
 
 
 @dataclass
 class SolverState:
-    """Solver variables after (or during) a run."""
+    """Solver variables after (or during) a run; ``iterations`` is the trace's length."""
 
     projections: list[np.ndarray]   # V matrices, K x M_v
-    embeddings: list[np.ndarray]    # V matrices, K x N
+    embeddings: np.ndarray          # K x V x N, view v's embedding at [:, v, :]
     consensus: np.ndarray           # K x N
     lowfreq_tensor: np.ndarray      # K x V x N
-    iterations: int = 0
     objective_trace: list[float] = field(default_factory=list)
+
+    @property
+    def iterations(self) -> int:
+        return len(self.objective_trace)
 
 
 def zscore_normalize_columns(mat: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
@@ -170,9 +173,11 @@ def update_projection(
     ``system`` is the matrix phi phi^T + lam I from :func:`ridge_system`.
     Solved via Cholesky; falls back to the pseudo-inverse when the system
     is singular (lam = 0) and raises :class:`SingularSystem` if even that
-    leaves a relative residual above 1e-8 (or a NaN one), or if B phi^T
-    has a non-finite norm.
+    leaves a relative residual above 1e-8 (or a NaN one), or if ``system`` has
+    a non-finite entry or B phi^T a non-finite norm; SciPy's own scans are off.
     """
+    if not np.isfinite(system).all():
+        raise SingularSystem("ridge system has a non-finite entry")
     b = np.asarray(embedding, dtype=float)
     phi = np.asarray(graph, dtype=float)
     rhs = b @ phi.T
@@ -188,7 +193,7 @@ def update_projection(
             return float(np.linalg.norm(u @ system - rhs) / rhs_norm)
 
     try:
-        u = cho_solve(cho_factor(system), rhs.T).T
+        u = cho_solve(cho_factor(system, check_finite=False), rhs.T, check_finite=False).T
     except np.linalg.LinAlgError:
         u = None
     if u is not None and residual(u) <= _RIDGE_RESIDUAL_TOL:
@@ -227,12 +232,9 @@ def update_embedding(
     return zscore_normalize_columns(out, out=out)
 
 
-def update_consensus(embeddings: list[np.ndarray]) -> np.ndarray:
-    """Normalized mean of the per-view embeddings."""
-    mean = np.array(embeddings[0], dtype=float)
-    for e in embeddings[1:]:
-        mean += e
-    mean /= len(embeddings)
+def update_consensus(embeddings) -> np.ndarray:
+    """Normalized mean of a sequence of V per-view K x N embeddings, summed in order."""
+    mean = np.mean(embeddings, axis=0, dtype=float)
     return zscore_normalize_columns(mean, out=mean)
 
 
@@ -249,7 +251,8 @@ def _pairwise_gap_sum(a: np.ndarray, b: np.ndarray, buf: np.ndarray) -> float:
     The range is split as numpy's pairwise summation splits it (in halves,
     the first rounded down to a multiple of 8) until a part fits ``buf``,
     and each part is summed by ``np.sum``, so the result has the bits of
-    ``np.sum(np.square(a - b))`` without a temporary of a's size.
+    ``np.sum(np.square(a - b))`` without a temporary of a's size, provided
+    ``buf`` holds at least ``min(a.size, 128)`` entries.
     """
     n = a.size
     if n <= buf.size:
@@ -267,7 +270,6 @@ def objective_value(
     cfg: SolverConfig,
     *,
     fits: list[float],
-    stacked: np.ndarray,
     scratch: np.ndarray,
 ) -> float:
     """Sum of ridge, fit, consensus, and smoothing-coupling terms.
@@ -275,19 +277,18 @@ def objective_value(
     The smoothing penalty itself scores 0 whenever the low-frequency
     tensor is feasible (it always is after :func:`lowfreq_truncate`), so
     only the quadratic coupling ||B - Y||^2 / 2 appears here.  ``fits``
-    holds each view's ||B_v - U_v phi_v||^2, ``stacked`` is the (K, V, N)
-    tensor whose slices are ``state.embeddings``, and ``scratch`` is a
-    K x N buffer for each view's consensus gap in turn and for the coupling
-    term's parts.
+    holds each view's ||B_v - U_v phi_v||^2 and ``scratch`` is a K x N
+    buffer for each view's consensus gap; the coupling term's parts go
+    through a buffer of at most ``COUPLING_BLOCK`` entries.
     """
     total = 0.0
-    for u, b, fit in zip(state.projections, state.embeddings, fits):
+    for u, b, fit in zip(state.projections, state.embeddings.transpose(1, 0, 2), fits):
         total += 0.5 * cfg.lam * float(np.sum(u * u))
         total += 0.5 * fit
         total += 0.5 * cfg.beta * _squared_distance(state.consensus, b, scratch)
     coupling = _pairwise_gap_sum(
-        stacked.reshape(-1), state.lowfreq_tensor.reshape(-1),
-        scratch.reshape(-1)[:COUPLING_BLOCK],
+        state.embeddings.reshape(-1), state.lowfreq_tensor.reshape(-1),
+        np.empty(min(state.embeddings.size, COUPLING_BLOCK)),
     )
     total += 0.5 * float(coupling)
     return total
@@ -319,7 +320,7 @@ def run(
         raise ValidationError(
             f"embed_dim {k} exceeds the anchor count of at least one view"
         )
-    if cfg.smooth_embeddings:
+    if not cfg.no_igs:
         check_low_freq(n, cfg.low_freq)
 
     # formed once, checked once: the loop only solves with them
@@ -327,8 +328,8 @@ def run(
     n_views = len(graphs)
     rng = np.random.default_rng(cfg.seed)
     b0 = zscore_normalize_columns(rng.standard_normal((k, n)))
-    embeddings = [b0] * n_views  # never written in place: each entry is rebound
-    consensus = update_consensus(embeddings)
+    embeddings = np.broadcast_to(b0[:, None, :], (k, n_views, n))  # a read-only view
+    consensus = update_consensus(embeddings.transpose(1, 0, 2))
     del b0  # the embeddings hold it until the first embedding update
     lowfreq = np.zeros((k, n_views, n))
     projections = [np.zeros((k, g.shape[0])) for g in graphs]
@@ -344,32 +345,28 @@ def run(
         # them can go first and the old embeddings be released before the
         # new tensor exists (with smoothing off, lowfreq still holds them)
         for v, g in enumerate(graphs):
-            projections[v] = update_projection(embeddings[v], g, systems[v])
-        embeddings.clear()
-        # fresh every iteration: a snapshot a callback keeps must not change
-        stacked = np.empty((k, n_views, n))
+            projections[v] = update_projection(embeddings[:, v, :], g, systems[v])
+        del embeddings
+        # fresh every iteration: a snapshot a callback keeps must not change.
+        # Each fit reads the tensor's slice: a name bound to update_embedding's
+        # result (a view) would keep this tensor alive into the next iteration.
+        embeddings = np.empty((k, n_views, n))
         for v, g in enumerate(graphs):
-            embeddings.append(update_embedding(
-                projections[v], g, consensus, lowfreq[:, v, :], cfg.beta,
-                out=stacked[:, v, :], product=product,
-            ))
-            fits[v] = _squared_distance(embeddings[v], product, product)
+            update_embedding(projections[v], g, consensus, lowfreq[:, v, :], cfg.beta,
+                             out=embeddings[:, v, :], product=product)
+            fits[v] = _squared_distance(embeddings[:, v, :], product, product)
         del lowfreq  # release the old tensor before building the new one
-        if cfg.smooth_embeddings:
-            lowfreq = lowfreq_truncate(stacked, cfg.low_freq)
-        else:
-            lowfreq = stacked
+        lowfreq = embeddings if cfg.no_igs else lowfreq_truncate(embeddings, cfg.low_freq)
         del consensus  # the embeddings are formed; previous_consensus keeps it if needed
-        consensus = update_consensus(embeddings)
-        # shallow list copies: later iterations refill the lists, and callback
+        consensus = update_consensus(embeddings.transpose(1, 0, 2))
+        # a shallow list copy: later iterations refill the list, and callback
         # holders expect a consistent per-iteration snapshot
-        state = SolverState(list(projections), list(embeddings), consensus, lowfreq, t + 1)
-        objective = objective_value(state, cfg, fits=fits, stacked=stacked, scratch=product)
+        state = SolverState(list(projections), embeddings, consensus, lowfreq)
+        objective = objective_value(state, cfg, fits=fits, scratch=product)
         if not np.isfinite(objective):
             raise SingularSystem(f"objective is {objective} at iteration {t + 1}")
         trace.append(objective)
         state.objective_trace = list(trace)  # a snapshot's trace, like its arrays, stays put
-        del stacked  # the embeddings hold it until the next projections
         if callback is not None:
             callback(state)
         if cfg.early_stop_tol > 0:

@@ -229,7 +229,7 @@ def solver_run_reference(graphs, cfg):
             embeddings[v] = _embedding_reference(
                 projections[v], g, consensus, lowfreq[:, v, :], cfg.beta
             )
-        if cfg.smooth_embeddings:
+        if not cfg.no_igs:
             lowfreq = lowfreq_truncate(np.stack(embeddings, axis=1), cfg.low_freq)
         else:
             lowfreq = np.stack(embeddings, axis=1)

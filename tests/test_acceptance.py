@@ -140,7 +140,8 @@ def test_criterion_03_closed_form_updates():
     checked = []
 
     def check(state):
-        for mat in state.embeddings + [state.consensus]:
+        views = [state.embeddings[:, v, :] for v in range(state.embeddings.shape[1])]
+        for mat in views + [state.consensus]:
             assert np.abs(mat.mean(axis=0)).max() <= 1e-10
             assert np.abs(mat.std(axis=0, ddof=1) - 1.0).max() <= 1e-10
         checked.append(state.iterations)

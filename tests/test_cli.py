@@ -620,6 +620,7 @@ SPECS = st.tuples(
 @example(spec="n=60,c=3", flags={}, switches=set())
 @example(spec="n=30,c=2,v=2,dims=3:4", flags={"--lowfreq": "1", "--restarts": "1"},
          switches={"--no-igs"})
+@example(spec="n=3,c=3", flags={"--lowfreq": "1"}, switches=set())  # K*N below 128
 def test_run_flags_exit_0_2_or_3_with_one_json_line(spec, flags, switches):
     argv = ["run", "--synthetic", spec]
     argv += [f"{flag}={value}" for flag, value in flags.items()] + sorted(switches)

@@ -201,6 +201,12 @@ def test_projection_of_zero_embedding_is_zero():
 def test_projection_non_finite_system_raises_singular_system():
     rng = np.random.default_rng(8)
     phi = rng.random((4, 8))
+    system = ridge_system(phi, 0.1)
+    for bad in (np.nan, np.inf, -np.inf):  # any system, not only one ridge_system formed
+        broken = system.copy()
+        broken[1, 2] = bad
+        with pytest.raises(SingularSystem, match="non-finite entry"):
+            update_projection(rng.standard_normal((3, 8)), phi, broken)
     phi[1, 2] = np.nan
     with pytest.raises(SingularSystem):
         ridge_system(phi, 0.1)
@@ -218,7 +224,7 @@ def test_projection_nan_residual_raises_singular_system(recwarn):
 
 
 def test_projection_nan_embedding_raises_singular_system_quietly(recwarn):
-    # a NaN right-hand side must not reach scipy's finiteness check
+    # a NaN right-hand side is caught by its norm, before the solve
     rng = np.random.default_rng(10)
     b = rng.standard_normal((3, 12))
     b[1, 4] = np.nan
@@ -346,28 +352,32 @@ def test_consensus_matches_mean_then_normalize_oracle():
 # objective
 
 
+def views(state):
+    """The V per-view K x N embeddings of a state, in order."""
+    return list(state.embeddings.transpose(1, 0, 2))
+
+
 def score(state, graphs, cfg):
     """``objective_value`` of any state, with the arguments that ``run`` forms."""
     fits = [
         float(np.sum(np.square(b - u @ phi)))
-        for u, b, phi in zip(state.projections, state.embeddings, graphs)
+        for u, b, phi in zip(state.projections, views(state), graphs)
     ]
-    stacked = np.stack(state.embeddings, axis=1)
     scratch = np.empty(state.consensus.shape)
-    return objective_value(state, cfg, fits=fits, stacked=stacked, scratch=scratch)
+    return objective_value(state, cfg, fits=fits, scratch=scratch)
 
 
 def make_state(graphs, cfg, seed=0):
     rng = np.random.default_rng(seed)
     k = cfg.embed_dim
     n = graphs[0].shape[1]
-    embeddings = [
-        zscore_normalize_columns(rng.standard_normal((k, n))) for _ in graphs
-    ]
+    embeddings = np.stack(
+        [zscore_normalize_columns(rng.standard_normal((k, n))) for _ in graphs], axis=1
+    )
     projections = [rng.standard_normal((k, g.shape[0])) for g in graphs]
-    consensus = update_consensus(embeddings)
-    lowfreq = lowfreq_truncate(np.stack(embeddings, axis=1), cfg.low_freq)
-    return SolverState(projections, embeddings, consensus, lowfreq, 0, [])
+    consensus = update_consensus(embeddings.transpose(1, 0, 2))
+    lowfreq = lowfreq_truncate(embeddings, cfg.low_freq)
+    return SolverState(projections, embeddings, consensus, lowfreq)
 
 
 def test_objective_zero_at_perfect_fit():
@@ -376,11 +386,9 @@ def test_objective_zero_at_perfect_fit():
     b = zscore_normalize_columns(rng.standard_normal((3, 6)))
     state = SolverState(
         projections=[b],
-        embeddings=[b],
+        embeddings=np.stack([b], axis=1),
         consensus=b,
         lowfreq_tensor=np.stack([b], axis=1),
-        iterations=0,
-        objective_trace=[],
     )
     cfg = SolverConfig(embed_dim=3, lam=0.0, beta=0.0, low_freq=3)
     assert score(state, [phi], cfg) == pytest.approx(0.0, abs=1e-20)
@@ -392,7 +400,7 @@ def test_objective_linear_in_beta():
     cfg2 = SolverConfig(embed_dim=3, lam=0.3, beta=2.0, low_freq=4)
     state = make_state(graphs, cfg1, seed=18)
     consensus_term = sum(
-        0.5 * float(np.sum((state.consensus - b) ** 2)) for b in state.embeddings
+        0.5 * float(np.sum((state.consensus - b) ** 2)) for b in views(state)
     )
     diff = score(state, graphs, cfg2) - score(state, graphs, cfg1)
     assert diff == pytest.approx(consensus_term, rel=1e-12)
@@ -403,11 +411,11 @@ def test_objective_matches_term_by_term_oracle():
     cfg = SolverConfig(embed_dim=3, lam=0.7, beta=0.4, low_freq=3)
     state = make_state(graphs, cfg, seed=20)
     expected = 0.0
-    for u, b, phi in zip(state.projections, state.embeddings, graphs):
+    for u, b, phi in zip(state.projections, views(state), graphs):
         expected += 0.5 * cfg.lam * np.linalg.norm(u, "fro") ** 2
         expected += 0.5 * np.linalg.norm(b - u @ phi, "fro") ** 2
         expected += 0.5 * cfg.beta * np.linalg.norm(state.consensus - b, "fro") ** 2
-    expected += 0.5 * np.linalg.norm(np.stack(state.embeddings, axis=1) - state.lowfreq_tensor) ** 2
+    expected += 0.5 * np.linalg.norm(state.embeddings - state.lowfreq_tensor) ** 2
     got = score(state, graphs, cfg)
     assert got == pytest.approx(expected, rel=1e-10)
 
@@ -435,11 +443,9 @@ def test_each_update_does_not_increase_objective():
     # projection refresh is the exact ridge minimizer
     proj = [
         update_projection(b, g, ridge_system(g, cfg.lam))
-        for b, g in zip(state.embeddings, graphs)
+        for b, g in zip(views(state), graphs)
     ]
-    after_proj = SolverState(
-        proj, state.embeddings, state.consensus, state.lowfreq_tensor, 0, []
-    )
+    after_proj = SolverState(proj, state.embeddings, state.consensus, state.lowfreq_tensor)
     assert score(after_proj, graphs, cfg) <= base + 1e-9 * base
 
     # unconstrained embedding minimizer (before re-normalization)
@@ -449,28 +455,22 @@ def test_each_update_does_not_increase_objective():
         for v, (u, g) in enumerate(zip(state.projections, graphs))
     ]
     after_raw = SolverState(
-        state.projections, raw, state.consensus, state.lowfreq_tensor, 0, []
+        state.projections, np.stack(raw, axis=1), state.consensus, state.lowfreq_tensor
     )
     assert score(after_raw, graphs, cfg) <= base + 1e-9 * base
 
     # unconstrained consensus minimizer
-    mean = sum(state.embeddings) / len(state.embeddings)
-    after_mean = SolverState(
-        state.projections, state.embeddings, mean, state.lowfreq_tensor, 0, []
-    )
+    mean = state.embeddings.mean(axis=1)
+    after_mean = SolverState(state.projections, state.embeddings, mean, state.lowfreq_tensor)
     assert score(after_mean, graphs, cfg) <= base + 1e-9 * base
 
     # smoothing refresh is the exact feasible minimizer of the coupling
-    stacked = np.stack(state.embeddings, axis=1)
-    refreshed = lowfreq_truncate(stacked, cfg.low_freq)
+    refreshed = lowfreq_truncate(state.embeddings, cfg.low_freq)
     rng = np.random.default_rng(22)
-    gap = np.linalg.norm(stacked - refreshed)
+    gap = np.linalg.norm(state.embeddings - refreshed)
     for _ in range(5):
-        member = lowfreq_truncate(
-            np.stack([rng.standard_normal(b.shape) for b in state.embeddings], axis=1),
-            cfg.low_freq,
-        )
-        assert gap <= np.linalg.norm(stacked - member) + 1e-10
+        member = lowfreq_truncate(rng.standard_normal(state.embeddings.shape), cfg.low_freq)
+        assert gap <= np.linalg.norm(state.embeddings - member) + 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +504,10 @@ def test_run_identical_graphs_stay_symmetric_across_views():
     run([g, g.copy(), g.copy()], cfg, callback=lambda s: seen.append(s))
     assert len(seen) == 7
     for state in seen:
-        for b in state.embeddings[1:]:
-            np.testing.assert_allclose(b, state.embeddings[0], atol=1e-10)
-        np.testing.assert_allclose(state.consensus, state.embeddings[0], atol=1e-10)
+        first, *rest = views(state)
+        for b in rest:
+            np.testing.assert_allclose(b, first, atol=1e-10)
+        np.testing.assert_allclose(state.consensus, first, atol=1e-10)
 
 
 def test_run_snapshots_keep_their_own_arrays():
@@ -515,12 +516,12 @@ def test_run_snapshots_keep_their_own_arrays():
     graphs = random_graphs(3, 6, 16, seed=34)
 
     def arrays(state):
-        return [*state.projections, *state.embeddings, state.consensus, state.lowfreq_tensor]
+        return [*state.projections, state.embeddings, state.consensus, state.lowfreq_tensor]
 
-    for smooth in (True, False):
+    for no_igs in (False, True):
         kept = []
         final = run(
-            graphs, SolverConfig(embed_dim=4, low_freq=4, smooth_embeddings=smooth),
+            graphs, SolverConfig(embed_dim=4, low_freq=4, no_igs=no_igs),
             callback=lambda s: kept.append(
                 (s, [a.copy() for a in arrays(s)], list(s.objective_trace))
             ),
@@ -541,8 +542,7 @@ def test_run_deterministic_under_seed():
     b = run(graphs, cfg)
     assert a.objective_trace == b.objective_trace
     np.testing.assert_array_equal(a.consensus, b.consensus)
-    for x, y in zip(a.embeddings, b.embeddings):
-        np.testing.assert_array_equal(x, y)
+    np.testing.assert_array_equal(a.embeddings, b.embeddings)
     np.testing.assert_array_equal(a.lowfreq_tensor, b.lowfreq_tensor)
 
 
@@ -552,7 +552,7 @@ def test_run_constraint_and_feasibility_invariants_each_iteration():
     kept = set(kept_slice_indices(20, cfg.low_freq).tolist())
 
     def check(state):
-        for b in state.embeddings:
+        for b in views(state):
             assert column_stats_ok(b)
         assert column_stats_ok(state.consensus)
         spectrum = fft_mode3(state.lowfreq_tensor)
@@ -605,8 +605,8 @@ def test_run_validates_config():
         SolverConfig(embed_dim=3, max_iters=2.5)
     with pytest.raises(ValidationError):
         SolverConfig(embed_dim=3, seed=-1)
-    with pytest.raises(ValidationError, match="smooth_embeddings must be a bool"):
-        SolverConfig(embed_dim=3, smooth_embeddings="no")
+    with pytest.raises(ValidationError, match="no_igs must be a bool"):
+        SolverConfig(embed_dim=3, no_igs="no")
     with pytest.raises(ValidationError):
         run(graphs, SolverConfig(embed_dim=6, low_freq=3))  # K > M
     with pytest.raises(ShapeMismatch):
@@ -617,14 +617,15 @@ def test_run_validates_config():
 
 def test_run_smoothing_disabled_passes_tensor_through():
     graphs = random_graphs(2, 6, 10, seed=30)
-    cfg = SolverConfig(embed_dim=3, low_freq=3, smooth_embeddings=False, seed=5)
+    cfg = SolverConfig(embed_dim=3, low_freq=3, no_igs=True, seed=5)
     state = run(graphs, cfg)
-    np.testing.assert_array_equal(state.lowfreq_tensor, np.stack(state.embeddings, axis=1))
+    np.testing.assert_array_equal(state.lowfreq_tensor, state.embeddings)
 
 
-def test_run_holds_under_four_embedding_tensors_beyond_its_graphs():
+def test_run_holds_under_three_embedding_tensors_beyond_its_graphs():
     # all projections go first, so the previous embedding tensor is released
-    # before the next one is allocated
+    # before the next one is allocated; one tensor kept past its iteration
+    # reads about 3.8
     k, n_views, n = 4, 3, 20_000
     graphs = random_graphs(n_views, 40, n, seed=31)
     tracemalloc.start()
@@ -634,7 +635,7 @@ def test_run_holds_under_four_embedding_tensors_beyond_its_graphs():
     finally:
         tracemalloc.stop()
     tensor_bytes = k * n_views * n * 8
-    assert peak < 4 * tensor_bytes, f"{peak / tensor_bytes:.2f} K x V x N tensors"
+    assert peak < 3 * tensor_bytes, f"{peak / tensor_bytes:.2f} K x V x N tensors"
 
 
 def assert_states_identical(got, want):
@@ -642,11 +643,10 @@ def assert_states_identical(got, want):
     assert got.objective_trace == want.objective_trace
     np.testing.assert_array_equal(got.consensus, want.consensus)
     np.testing.assert_array_equal(got.lowfreq_tensor, want.lowfreq_tensor)
-    for name in ("embeddings", "projections"):
-        mats, expected = getattr(got, name), getattr(want, name)
-        assert len(mats) == len(expected)
-        for a, b in zip(mats, expected):
-            np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(got.embeddings, np.stack(want.embeddings, axis=1))
+    assert len(got.projections) == len(want.projections)
+    for a, b in zip(got.projections, want.projections):
+        np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize(
@@ -658,9 +658,10 @@ def assert_states_identical(got, want):
         (3, 40, {"low_freq": 1}),
         (2, 57, {"low_freq": 57 // 2 + 1}),  # Nyquist band, odd N
         (3, 40, {"low_freq": 40 // 2 + 1}),  # Nyquist band, even N
-        (3, 57, {"smooth_embeddings": False}),
+        (3, 57, {"no_igs": True}),
         (2, 40, {"beta": 0.0}),
         (3, 40, {"early_stop_tol": 1e-3, "max_iters": 30}),
+        (3, 5, {"embed_dim": 2, "low_freq": 1}),  # K*N below 128: the coupling sum in one part
     ],
 )
 def test_run_is_bit_identical_to_reference_loop(n_views, n, overrides):
@@ -682,7 +683,7 @@ def test_run_is_bit_identical_to_reference_loop_through_the_template():
         g[:, 7] = 0.0
     cfg = SolverConfig(embed_dim=4, lam=0.2, beta=0.0, low_freq=4, seed=8)
     first = []
-    got = run(graphs, cfg, callback=lambda s: first.append(s.embeddings[0][:, 7].copy()))
+    got = run(graphs, cfg, callback=lambda s: first.append(s.embeddings[:, 0, 7].copy()))
     template = zscore_normalize_columns(np.zeros((4, 1)))[:, 0]
     np.testing.assert_array_equal(first[0], template)
     assert_states_identical(got, solver_run_reference(graphs, cfg))
