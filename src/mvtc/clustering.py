@@ -10,8 +10,9 @@ are taken once per fit.  The assignment forms one N x C table,
 ``-2 x_n^T c_j + |c_j|^2``: the point's own ``|x_n|^2`` is the same in every
 column of its row, so it is left out, and the argmin along each row picks
 the nearest center, ties going to the lowest cluster index.  Centers are
-the members' means, summed in one sparse one-hot product; an emptied cluster
-is reseeded with the point currently farthest from its own center.
+the members' means, summed in one sparse one-hot product with the points
+copied transposed (once per fit); an emptied cluster is reseeded with the
+point currently farthest from its own center.
 Everything is deterministic under the seed.
 """
 
@@ -39,10 +40,16 @@ class ClusterModel:
     n_iter: int = 0
 
 
-def assign_labels(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Nearest center per column (squared Euclidean); ties pick the lowest index."""
+def assign_labels(
+    points: np.ndarray, centers: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Nearest center per column (squared Euclidean); ties pick the lowest index.
+
+    ``out``, when given, is a C-contiguous N x C float array that receives
+    the assignment table instead of a new one.
+    """
     # scaling the centers by -2 is exact, so this is -2 (x^T c) to the bit
-    table = points.T @ (-2.0 * centers)
+    table = np.matmul(points.T, -2.0 * centers, out=out)
     table += np.einsum("dc,dc->c", centers, centers)
     return np.argmin(table, axis=1)
 
@@ -59,13 +66,17 @@ def kmeans_fit(points: np.ndarray, n_clusters: int, seed: int = 0) -> ClusterMod
         raise TooManyClusters(f"requested {n_clusters} clusters from {n} points")
     rng = np.random.default_rng(seed)
     centers = _weighted_seed(x, n_clusters, rng)
-    labels = assign_labels(x, centers)
+    rows = np.ascontiguousarray(x.T)  # one point per row, for the means
+    # the N x C assignment table and the inertia's K x N residuals take turns
+    scratch = np.empty(n * max(x.shape[0], n_clusters))
+    table = scratch[: n * n_clusters].reshape(n, n_clusters)
+    buf = scratch[: x.size].reshape(x.shape)
+    labels = assign_labels(x, centers, out=table)
     centers, labels = _reseed_empty(x, centers, labels, n_clusters)
-    buf = np.empty(x.shape)  # scratch for the means and the inertia
     trace = [_inertia(x, centers, labels, buf)]
     for _ in range(MAX_ITERS):
-        centers = _cluster_means(x, labels, n_clusters, buf)
-        new_labels = assign_labels(x, centers)
+        centers = _cluster_means(rows, labels, n_clusters)
+        new_labels = assign_labels(x, centers, out=table)
         centers, new_labels = _reseed_empty(x, centers, new_labels, n_clusters)
         trace.append(_inertia(x, centers, new_labels, buf))
         stable = np.array_equal(new_labels, labels)
@@ -102,21 +113,19 @@ def _distances_to(x: np.ndarray, norms: np.ndarray, i: int) -> np.ndarray:
     return _distances_from_product(x[:, i] @ x, norms[i] + norms)
 
 
-def _cluster_means(x: np.ndarray, labels: np.ndarray, c: int, buf: np.ndarray) -> np.ndarray:
-    """Each cluster's mean, with ``buf`` (same size as ``x``) as scratch.
+def _cluster_means(rows: np.ndarray, labels: np.ndarray, c: int) -> np.ndarray:
+    """Each cluster's mean as a K x C matrix; ``rows`` is the N x K points, C-contiguous.
 
-    One product of the points, copied transposed into ``buf``, with a sparse
-    C x N one-hot sums each cluster's members in point order, K values at a
-    time.  A weighted ``np.bincount`` per feature row gives the same bits but
-    is slower here: in norm order a cluster's members sit together, so each
-    add into a bin waits on the one before.
+    One product of the points with a sparse C x N one-hot sums each
+    cluster's members in point order, K values at a time.  A weighted
+    ``np.bincount`` per feature row gives the same bits but is slower here:
+    in norm order a cluster's members sit together, so each add into a bin
+    waits on the one before.
     _reseed_empty guarantees every cluster is populated here.
     """
     n = labels.size
-    points = buf.reshape(n, x.shape[0])
-    np.copyto(points, x.T)
     onehot = csc_array((np.ones(n), labels, np.arange(n + 1)), shape=(c, n))
-    sums = (onehot @ points).T
+    sums = (onehot @ rows).T
     return np.ascontiguousarray(sums / np.bincount(labels, minlength=c))
 
 

@@ -81,6 +81,9 @@ def test_assignment_matches_bruteforce_scan():
     for n in range(25):
         dists = [np.sum((x[:, n] - centers[:, c]) ** 2) for c in range(4)]
         assert got[n] == int(np.argmin(dists))
+    table = np.empty((25, 4))
+    np.testing.assert_array_equal(assign_labels(x, centers, out=table), got)
+    np.testing.assert_array_equal(np.argmin(table, axis=1), got)
 
 
 def grouped_points(seed, n=9):
@@ -164,17 +167,18 @@ def test_peak_memory_below_two_and_a_half_point_matrices(k, n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one K x N scratch buffer (the means and the inertia) and one N x C
-    # assignment table, at K = C
+    # the points copied transposed (for the means) and one scratch array
+    # that holds the N x C assignment table and the inertia's K x N
+    # residuals in turn, at K = C
     assert peak < 2.5 * k * n * 8
 
 
 def test_assign_labels_called_once_per_iteration_plus_one(monkeypatch):
     calls = []
 
-    def counted(points, centers):
+    def counted(points, centers, out=None):
         calls.append(1)
-        return assign_labels(points, centers)
+        return assign_labels(points, centers, out=out)
 
     # kmeans_fit looks the name up in the module, as the benchmark's hook does
     monkeypatch.setattr(clustering, "assign_labels", counted)

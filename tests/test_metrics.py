@@ -1,11 +1,19 @@
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mvtc
 from mvtc import metrics
 from mvtc.errors import EmptyInput, LengthMismatch
 from mvtc.metrics import (
+    ContingencyTable,
     accuracy,
     ari,
     clustering_scores,
@@ -79,6 +87,100 @@ def test_accuracy_matches_bruteforce_on_random_instances():
         assert accuracy(pred, truth) == pytest.approx(
             accuracy_by_permutation(pred, truth), abs=1e-12
         )
+
+
+def table_accuracy(counts):
+    counts = np.asarray(counts)
+    return metrics._accuracy(
+        ContingencyTable(counts, int(counts.sum()), counts.sum(axis=1), counts.sum(axis=0))
+    )
+
+
+def best_injective_match(counts):
+    """Largest matched count over every injective map of the smaller side into the larger."""
+    counts = np.asarray(counts)
+    if counts.shape[0] > counts.shape[1]:
+        counts = counts.T
+    rows, cols = counts.shape
+    return max(
+        sum(int(counts[i, j]) for i, j in enumerate(image))
+        for image in itertools.permutations(range(cols), rows)
+    )
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [
+        [[7]],
+        [[0, 3, 5, 1]],  # 1 x C
+        [[2], [0], [9]],  # C x 1
+        [[0, 0, 0], [4, 1, 0], [0, 0, 0]],  # all-zero rows and columns
+        [[0, 2], [0, 0], [0, 5], [0, 0]],  # only one column has counts
+        [[3, 3, 3], [3, 3, 3]],  # every match ties
+        [[5, 5, 0], [5, 0, 5], [0, 5, 5]],  # several optimal matchings
+        [[1, 0, 0, 0], [0, 0, 0, 1]],
+    ],
+)
+def test_accuracy_equals_best_injective_map_on_tables(counts):
+    counts = np.asarray(counts)
+    assert table_accuracy(counts) == best_injective_match(counts) / counts.sum()
+    assert table_accuracy(counts.T) == best_injective_match(counts) / counts.sum()
+
+
+def test_accuracy_equals_best_injective_map_on_random_small_tables():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        counts = rng.integers(0, 4, size=rng.integers(1, 6, size=2))
+        counts[rng.random(counts.shape[0]) < 0.2] = 0
+        counts[:, rng.random(counts.shape[1]) < 0.2] = 0
+        counts[0, 0] += 1  # at least one sample
+        assert table_accuracy(counts) == best_injective_match(counts) / counts.sum()
+
+
+def test_accuracy_agrees_with_linear_sum_assignment():
+    from scipy.optimize import linear_sum_assignment  # the oracle only; mvtc never imports it
+
+    rng = np.random.default_rng(12)
+    for _ in range(1000):
+        counts = rng.integers(0, rng.choice([2, 50, 10**6]) + 1, size=rng.integers(1, 61, size=2))
+        counts[rng.random(counts.shape[0]) < 0.1] = 0
+        counts[0, 0] += 1
+        rows, cols = linear_sum_assignment(counts, maximize=True)
+        assert table_accuracy(counts) == int(counts[rows, cols].sum()) / int(counts.sum())
+
+
+SRC = str(Path(mvtc.__file__).resolve().parent.parent)
+LOADED_SCIPY = (
+    "print(' '.join(m for m in sys.modules if m.startswith('scipy.')), file=sys.stderr)"
+)
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        "import sys\n"
+        "import mvtc\n"
+        "data = mvtc.generate_synthetic(90, 3, n_views=2, dims=[5, 6], seed=2)\n"
+        "print(mvtc.run_pipeline(data, mvtc.PipelineConfig(n_anchors=30)).metrics)\n"
+        + LOADED_SCIPY,
+        "import runpy, sys\n"
+        "sys.argv = ['mvtc', 'run', '--synthetic', 'n=90,c=3,v=2,dims=5:6,seed=2', '--anchors', '30']\n"
+        "try:\n"
+        "    runpy.run_module('mvtc', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0, exc.code\n"
+        + LOADED_SCIPY,
+    ],
+    ids=["run_pipeline", "python -m mvtc run"],
+)
+def test_a_labelled_run_never_imports_scipy_optimize(script):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert "acc" in done.stdout  # the run scored its labels
+    assert "scipy.optimize" not in done.stderr.split()
 
 
 # ---------------------------------------------------------------------------
