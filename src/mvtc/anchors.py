@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import check_views
-from .errors import DegenerateView, DimensionMismatch, TooManyAnchors, ValidationError, check_real
+from .errors import DegenerateView, DimensionMismatch, TooManyAnchors, ValidationError, check_int, check_real
 
 # Kernel-width estimation averages at most this many (sample, anchor) pairs,
 # gathered this many at a time.
@@ -148,8 +148,7 @@ def select_anchors(
 ) -> AnchorSet:
     """Pick M shared anchors and estimate (or accept) per-view kernel widths."""
     n = check_views(views)
-    if not 1 <= m <= n:
-        raise TooManyAnchors(f"requested {m} anchors from {n} samples")
+    check_int("n_anchors", m, 1, TooManyAnchors, most=n)
     indices = np.random.default_rng(seed).choice(n, size=m, replace=False)
     anchor_cols = [np.take(v, indices, axis=1) for v in views]
     if kernel_width is None:

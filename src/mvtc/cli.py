@@ -3,8 +3,8 @@
 Subcommands: ``run`` (full pipeline on a manifest or synthetic dataset),
 ``metrics`` (score two label files) and ``gen-synthetic`` (write a
 synthetic dataset to disk).  Exit codes: 0 on success, 2 on validation
-errors, 3 on numerical failures; errors print one machine-parsable JSON
-line to stderr.
+errors (a bad command line among them), 3 on numerical failures; errors
+print one machine-parsable JSON line to stderr.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from .data import generate_synthetic, load_dataset, load_labels, save_dataset
 from .errors import NumericalError, ValidationError
@@ -21,9 +21,8 @@ from .pipeline import DEFAULT_ANCHORS, PRESETS, PipelineConfig, run_pipeline
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
     # OSError: a file that cannot be read or written; MemoryError: a request too large to allocate
     except (ValidationError, OSError, MemoryError) as exc:
@@ -38,10 +37,15 @@ def _emit_error(exc: Exception):
     print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser (its subparsers too) whose usage errors raise, to exit like any other bad input."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mvtc", description="Scalable multi-view clustering pipeline."
-    )
+    parser = _Parser(prog="mvtc", description="Scalable multi-view clustering pipeline.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run the full clustering pipeline")
@@ -61,7 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=None, help=f"run seed (default {PipelineConfig.seed}); also the --synthetic seed unless its spec sets one")
     run_p.add_argument("--early-stop-tol", type=float, default=None, help="relative consensus-change stop (0 = off)")
     run_p.add_argument("--restarts", type=int, default=None, help="k-means restarts, best inertia wins")
-    run_p.add_argument("--kernel-width", default=None, help="RBF width override: one float or one per view, comma-separated")
+    run_p.add_argument("--kernel-width", type=_parse_kernel_width, default=None, help="RBF width override: one float or one per view, comma-separated")
     run_p.add_argument("--preset", choices=sorted(PRESETS), default=None, help="published hyperparameter preset")
     run_p.add_argument("--no-isc", action="store_true", help="ablation: drop the consensus coupling (beta=0)")
     run_p.add_argument("--no-igs", action="store_true", help="ablation: skip low-frequency smoothing")
@@ -79,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen_p.add_argument("--samples", type=int, required=True)
     gen_p.add_argument("--clusters", type=int, required=True)
     gen_p.add_argument("--views", type=int, default=None)
-    gen_p.add_argument("--dims", default=None, help="per-view feature dims, e.g. 20:30:25 or 20,30,25")
+    gen_p.add_argument("--dims", type=_parse_dims, default=None, help="per-view feature dims, e.g. 20:30:25 or 20,30,25")
     gen_p.add_argument("--noise", type=float, default=None)
     gen_p.add_argument("--seed", type=int, default=None)
     gen_p.add_argument("--format", choices=["csv", "bin"], default="csv")
@@ -94,8 +98,9 @@ def _cmd_run(args) -> int:
     # each run flag's dest that names a config field; an unset flag keeps the preset or default
     names = {f.name for f in fields(PipelineConfig)}
     settings.update((k, v) for k, v in vars(args).items() if k in names and v is not None)
-    settings["kernel_width"] = _parse_kernel_width(args.kernel_width)
     config = PipelineConfig(**settings)  # checked before any data is read
+    if args.no_isc:  # the ablation without the consensus coupling
+        config = replace(config, beta=0.0)
     if args.manifest:
         dataset = load_dataset(args.manifest)
     else:
@@ -111,7 +116,7 @@ def _cmd_metrics(args) -> int:
 def _cmd_gen(args) -> int:
     dataset = generate_synthetic(args.samples, args.clusters, **_given(
         n_views=args.views,
-        dims=None if args.dims is None else _parse_dims(args.dims),
+        dims=args.dims,
         noise=args.noise,
         seed=args.seed,
     ))
@@ -178,11 +183,9 @@ def _synthetic_from_spec(spec: str, seed: int | None):
     return generate_synthetic(**given)  # unset keys keep generate_synthetic's defaults
 
 
-def _parse_kernel_width(raw):
-    if raw is None:
-        return None
+def _parse_kernel_width(raw: str) -> float | list[float]:
     try:
-        values = [float(tok) for tok in str(raw).split(",") if tok.strip()]
+        values = [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError as exc:
         raise ValidationError(f"bad --kernel-width value: {exc}") from exc
     if not values:

@@ -18,13 +18,13 @@ Everything is deterministic under the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csc_array
 
 from .anchors import _distances_from_product
-from .errors import TooManyClusters
+from .errors import TooManyClusters, check_int
 
 __all__ = ["ClusterModel", "kmeans_fit", "assign_labels"]
 
@@ -33,11 +33,19 @@ MAX_ITERS = 100  # Lloyd iterations per fit at most
 
 @dataclass
 class ClusterModel:
+    """A k-means fit; its final inertia and Lloyd iteration count are read off the trace."""
+
     centers: np.ndarray             # (K, C), column c is the center of cluster c
     labels: np.ndarray              # (N,) ints in 0..C-1, every cluster populated
-    inertia: float                  # ||points - centers[:, labels]||_F^2
-    inertia_trace: list[float] = field(default_factory=list)
-    n_iter: int = 0
+    inertia_trace: list[float]      # ||points - centers[:, labels]||_F^2 after seeding and each iteration
+
+    @property
+    def inertia(self) -> float:
+        return self.inertia_trace[-1]
+
+    @property
+    def n_iter(self) -> int:
+        return len(self.inertia_trace) - 1
 
 
 def assign_labels(
@@ -62,8 +70,7 @@ def kmeans_fit(points: np.ndarray, n_clusters: int, seed: int = 0) -> ClusterMod
     """
     x = np.asarray(points, dtype=float)
     n = x.shape[1]
-    if not 1 <= n_clusters <= n:
-        raise TooManyClusters(f"requested {n_clusters} clusters from {n} points")
+    check_int("n_clusters", n_clusters, 1, TooManyClusters, most=n)
     rng = np.random.default_rng(seed)
     centers = _weighted_seed(x, n_clusters, rng)
     rows = np.ascontiguousarray(x.T)  # one point per row, for the means
@@ -83,13 +90,7 @@ def kmeans_fit(points: np.ndarray, n_clusters: int, seed: int = 0) -> ClusterMod
         labels = new_labels
         if stable:
             break
-    return ClusterModel(
-        centers=centers,
-        labels=labels,
-        inertia=trace[-1],
-        inertia_trace=trace,
-        n_iter=len(trace) - 1,
-    )
+    return ClusterModel(centers=centers, labels=labels, inertia_trace=trace)
 
 
 def _weighted_seed(x: np.ndarray, c: int, rng: np.random.Generator) -> np.ndarray:

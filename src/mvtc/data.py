@@ -72,10 +72,13 @@ class MultiViewDataset:
 
 
 def check_views(views: list[np.ndarray]) -> int:
-    """Shared sample count of a non-empty list of 2-D views; raises naming the bad view."""
+    """Shared sample count of a non-empty list of 2-D integer or float views; raises naming the bad view."""
     if len(views) == 0:
         raise ValidationError("need at least one view")
     for i, v in enumerate(views):
+        if not isinstance(v, np.ndarray) or v.dtype.kind not in "iuf":
+            got = f"dtype {v.dtype}" if isinstance(v, np.ndarray) else type(v).__name__
+            raise ValidationError(f"view {i} must be a numpy array of integers or floats, got {got}")
         if v.ndim != 2 or v.shape[0] == 0:
             raise DimensionMismatch(f"view {i} is not a matrix with features: shape {v.shape}")
         if v.shape[1] != views[0].shape[1]:

@@ -20,11 +20,7 @@ class NumericalError(Exception):
 
 
 class DimensionMismatch(ValidationError):
-    """Array dimensions are inconsistent with each other."""
-
-
-class ShapeMismatch(ValidationError):
-    """A collection of arrays does not share the required common shape."""
+    """An array has the wrong number of axes, or arrays disagree on a shared axis."""
 
 
 class InvalidLowFrequencyParameter(ValidationError):

@@ -14,7 +14,7 @@ import ctypes
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cache
 from pathlib import Path
 
@@ -25,9 +25,10 @@ from . import __version__
 from .anchors import build_all_graphs, select_anchors
 from .clustering import kmeans_fit
 from .data import MultiViewDataset
-from .errors import ValidationError, check_int, check_switch
+from .errors import TooManyAnchors, ValidationError, check_int
 from .metrics import clustering_scores
 from .solver import SolverConfig, SolverSettings, run as solver_run
+from .tensor_ops import check_low_freq
 
 DEFAULT_ANCHORS = 1000  # clamped to N on smaller datasets
 
@@ -45,20 +46,22 @@ PRESETS: dict[str, dict] = {
 
 @dataclass(kw_only=True)
 class PipelineConfig(SolverSettings):
+    """Run settings; the ablation without the consensus coupling (``--no-isc``) is ``beta=0``."""
+
     n_clusters: int | None = None   # falls back to the dataset's cluster count
     embed_dim: int | None = None    # falls back to n_clusters
     n_anchors: int | None = None    # falls back to min(DEFAULT_ANCHORS, N)
     restarts: int = 1
     kernel_width: list[float] | float | None = None
-    no_isc: bool = False   # drop the consensus coupling (beta forced to 0)
     threads: int | None = None   # numpy's BLAS pool; None keeps its count (scipy's runs on 1)
 
     def __post_init__(self):
-        """Check the shared solver settings, then the pipeline's integer fields and switch.
+        """Check the shared solver settings, then the pipeline's integer fields.
 
-        The ranges of ``n_clusters``, ``embed_dim`` and ``n_anchors`` depend
-        on the data and are checked at the run, as are the kernel widths,
-        whose count must match the views.  ``None`` keeps a fallback.
+        The ranges of ``n_clusters``, ``embed_dim``, ``n_anchors`` and the
+        top of ``low_freq`` depend on the data and are checked when the run
+        starts, as are the kernel widths, whose count must match the views.
+        ``None`` keeps a fallback.
         ``threads`` reaches OpenBLAS as a C ``int``, so it is at most 2**31 - 1.
         """
         super().__post_init__()
@@ -67,7 +70,6 @@ class PipelineConfig(SolverSettings):
             if getattr(self, name) is not None:
                 check_int(name, getattr(self, name), least, most=most)
         check_int("restarts", self.restarts, 1)
-        check_switch("no_isc", self.no_isc)
 
 
 @dataclass
@@ -110,14 +112,18 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig, out_path=Non
         n_clusters = config.n_clusters if config.n_clusters is not None else dataset.n_clusters
         if n_clusters is None:
             raise ValidationError("cluster count unknown: set it in the config or manifest")
-        check_int("n_clusters", n_clusters, 1)
+        check_int("n_clusters", n_clusters, 1, most=n)
         embed_dim = config.embed_dim if config.embed_dim is not None else n_clusters
         n_anchors = config.n_anchors if config.n_anchors is not None else min(DEFAULT_ANCHORS, n)
         solver_cfg = SolverConfig(
             embed_dim=embed_dim, **{f.name: getattr(config, f.name) for f in fields(SolverSettings)}
         )
-        if config.no_isc:
-            solver_cfg = replace(solver_cfg, beta=0.0)
+        # select_anchors, the solver and k-means check these too, but the
+        # solver and k-means only after the graph build
+        check_int("n_anchors", n_anchors, 1, TooManyAnchors, most=n)
+        check_int("embed_dim", embed_dim, most=n_anchors)
+        if not config.no_igs:
+            check_low_freq(n, config.low_freq)
 
         timings = {}
         order, kernel_widths, state = _embed(
@@ -148,13 +154,11 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig, out_path=Non
                 "n_clusters": int(n_clusters),
                 "embed_dim": int(embed_dim),
                 "n_anchors": int(n_anchors),
-                # the shared solver settings as the solver ran them (beta is 0 under no_isc);
-                # seed has its own top-level key
+                # the shared solver settings; seed has its own top-level key
                 **{f.name: type(f.default)(getattr(solver_cfg, f.name))
                    for f in fields(SolverSettings) if f.name != "seed"},
                 "restarts": int(config.restarts),
                 "kernel_width_per_view": [float(s) for s in kernel_widths],
-                "no_isc": bool(config.no_isc),
             },
             metrics=scores,
             labels_pred=labels_pred.tolist(),

@@ -41,9 +41,8 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import (EmbedDimTooSmall, InvalidLowFrequencyParameter, ShapeMismatch,
-                     SingularSystem, ValidationError, check_int, check_real,
-                     check_switch)
+from .errors import (DimensionMismatch, EmbedDimTooSmall, InvalidLowFrequencyParameter,
+                     SingularSystem, check_int, check_real, check_switch)
 from .tensor_ops import check_low_freq, lowfreq_truncate
 
 # Acceptable relative residual of the ridge normal equations.
@@ -120,7 +119,7 @@ def zscore_normalize_columns(mat: np.ndarray, *, out: np.ndarray | None = None) 
     """
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2:
-        raise ShapeMismatch(f"need a K x N matrix, got shape {mat.shape}")
+        raise DimensionMismatch(f"need a K x N matrix, got shape {mat.shape}")
     k, n = mat.shape
     if k < 2:
         raise EmbedDimTooSmall(f"need at least 2 rows to normalize, got {k}")
@@ -310,16 +309,13 @@ def run(
     """
     graphs = [np.ascontiguousarray(g, dtype=float) for g in graphs]
     if not graphs:
-        raise ShapeMismatch("need at least one anchor graph")
+        raise DimensionMismatch("need at least one anchor graph")
     n = graphs[0].shape[1]
     for i, g in enumerate(graphs):
         if g.ndim != 2 or g.shape[1] != n:
-            raise ShapeMismatch(f"graph {i} has shape {g.shape}, expected (*, {n})")
+            raise DimensionMismatch(f"graph {i} has shape {g.shape}, expected (*, {n})")
     k = cfg.embed_dim
-    if any(k > g.shape[0] for g in graphs):
-        raise ValidationError(
-            f"embed_dim {k} exceeds the anchor count of at least one view"
-        )
+    check_int("embed_dim", k, most=min(g.shape[0] for g in graphs))  # each view's anchor count
     if not cfg.no_igs:
         check_low_freq(n, cfg.low_freq)
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib
 import importlib.util
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import mvtc
 from mvtc import pipeline
-from mvtc.cli import main
+from mvtc.cli import _build_parser, main
 from mvtc.data import generate_synthetic, load_dataset, save_dataset
 from mvtc.errors import InvalidLowFrequencyParameter, SingularSystem, ValidationError
 from mvtc.pipeline import PRESETS, PipelineConfig, RunReport, run_pipeline
@@ -219,6 +220,67 @@ def test_malformed_flag_values_exit_cleanly(argv, capsys):
     assert record["error"] and record["message"]
 
 
+def test_no_isc_is_beta_zero(capsys):
+    reports = []
+    for extra in (["--no-isc"], ["--beta", "0"], ["--beta", "0.5", "--no-isc"]):
+        code, stdout, _ = run_cli(capsys, *SMALL_RUN, "--seed", "2", *extra)
+        assert code == 0
+        report = json.loads(stdout)
+        del report["timings"]
+        reports.append(json.dumps(report, indent=2, sort_keys=True))
+    assert reports[0] == reports[1] == reports[2]
+    assert json.loads(reports[0])["config"]["beta"] == 0.0
+
+
+def test_run_flags_name_each_config_field_once():
+    parser = _build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = [a.dest for a in commands.choices["run"]._actions if a.dest != "help"]
+    names = sorted(f.name for f in fields(PipelineConfig))
+    assert sorted(d for d in dests if d in names) == names  # each field is one flag's dest
+    assert sorted(set(dests) - set(names)) == ["manifest", "no_isc", "out", "preset", "synthetic"]
+
+
+@pytest.mark.parametrize("argv", [
+    SMALL_RUN + ["--beta", "abc"],
+    ["run", "--synthetic", "n=50,c=2", "--anchors", "1.5"],
+    SMALL_RUN + ["--no-such-flag"],
+    ["run"],  # neither --manifest nor --synthetic
+    ["run", "--manifest", "m.json", "--synthetic", "n=50,c=2"],
+    SMALL_RUN + ["--preset", "nope"],
+    ["nope"],  # no such subcommand
+    [],  # no subcommand
+    ["gen-synthetic", "--samples", "10", "--out", "x"],  # no --clusters
+    ["gen-synthetic", "--samples", "10", "--clusters", "2"],  # no --out
+    SMALL_RUN + ["--kernel-width", "x"],
+    ["gen-synthetic", "--samples", "10", "--clusters", "2", "--dims", "a:b", "--out", "x"],
+])
+def test_usage_errors_exit_2_with_one_json_line(argv, capsys):
+    code, stdout, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    (line,) = err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "ValidationError" and record["message"]
+
+
+def test_data_dependent_settings_are_checked_before_the_graph_build(monkeypatch):
+    def build(*args, **kwargs):
+        raise AssertionError("graphs built before the settings were checked")
+
+    monkeypatch.setattr(pipeline, "build_all_graphs", build)
+    dataset = generate_synthetic(40, 2, 2, [4, 5], noise=0.1, seed=0)
+    for config, message in (
+        (PipelineConfig(n_clusters=41), "n_clusters must be an integer of at least 1 and at most 40"),
+        (PipelineConfig(n_anchors=10, embed_dim=11), "embed_dim must be an integer of at most 10, got 11"),
+        (PipelineConfig(low_freq=22), "kept low-frequency slices 22 outside 1..21"),
+    ):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            run_pipeline(dataset, config)
+    with pytest.raises(AssertionError, match="graphs built"):  # no smoothing, no band to check
+        run_pipeline(dataset, PipelineConfig(low_freq=22, no_igs=True))
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -241,8 +303,7 @@ def test_malformed_flag_values_exit_cleanly(argv, capsys):
         ("kernel_width", ["a", "b"]),
         ("kernel_width", 0.0),
         ("n_clusters", 0),
-        ("no_isc", "false"),  # a switch is a bool, not a truthy value
-        ("no_igs", 1),
+        ("no_igs", 1),  # a switch is a bool, not a truthy value
         ("threads", 2**31),  # OpenBLAS takes a C int
         ("threads", 2**32 + 1),
         ("threads", 10**30),
@@ -313,7 +374,7 @@ SWEEP_ACCEPTED = {
     "low_freq": {(int, 2)}, "restarts": {(int, 2)},
     "max_iters": {(int, 0), (int, 2)}, "seed": {(int, 0), (int, 2)},
     "kernel_width": {(type(None), None), (int, 2), (float, 2.5)},
-    "no_isc": {(bool, True)}, "no_igs": {(bool, True)},
+    "no_igs": {(bool, True)},
 }
 
 
@@ -425,7 +486,8 @@ def test_numerical_error_exit_code(tmp_path, capsys):
     manifest = {"n_clusters": 2, "views": [{"path": "flat.csv"}]}
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     code, _, stderr = run_cli(
-        capsys, "run", "--manifest", str(tmp_path / "manifest.json"), "--anchors", "3"
+        capsys, "run", "--manifest", str(tmp_path / "manifest.json"), "--anchors", "3",
+        "--lowfreq", "3",  # default band does not fit 10 samples
     )
     assert code == 3
     record = json.loads(stderr.strip().splitlines()[-1])

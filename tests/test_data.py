@@ -1,8 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from mvtc.anchors import select_anchors
 from mvtc.data import (
     MultiViewDataset,
     generate_synthetic,
@@ -13,6 +15,7 @@ from mvtc.data import (
     write_matrix,
 )
 from mvtc.errors import DimensionMismatch, MissingFile, ParseError, ValidationError
+from mvtc.pipeline import PipelineConfig, run_pipeline
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +87,31 @@ def test_view_without_features_is_rejected(tmp_path):
         load_dataset(manifest)
     with pytest.raises(DimensionMismatch, match="view 0 is not a matrix with features"):
         MultiViewDataset(views=[np.empty((0, 4))])
+
+
+@pytest.mark.parametrize("bad, got", [
+    ([[1.0, 2.0, 3.0, 4.0]], "got list"),  # used to raise AttributeError
+    (np.ones((1, 4), dtype=object), "got dtype object"),  # used to raise TypeError in isfinite
+    (np.ones((1, 4)) + 1j, "got dtype complex128"),  # used to drop the imaginary part
+    (np.ones((1, 4), dtype=bool), "got dtype bool"),  # used to get a logical norm order
+])
+def test_views_must_be_arrays_of_real_numbers(bad, got):
+    views = [np.ones((2, 4)), bad]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any ComplexWarning
+        with pytest.raises(ValidationError, match=f"view 1 must be a numpy array of integers or floats, {got}"):
+            MultiViewDataset(views=views)
+        with pytest.raises(ValidationError, match=f"view 1 must be a numpy array .*, {got}"):
+            select_anchors(views, 2, seed=0)
+
+
+def test_float32_and_integer_views_are_accepted():
+    ds = generate_synthetic(30, 2, 2, [4, 5], noise=0.1, seed=3)
+    views = [ds.views[0].astype(np.float32), np.rint(ds.views[1] * 100).astype(np.int64)]
+    dataset = MultiViewDataset(views=views, labels=ds.labels, n_clusters=2)
+    assert select_anchors(views, 5, seed=0).indices.size == 5
+    report = run_pipeline(dataset, PipelineConfig(n_anchors=10, low_freq=4))
+    assert sorted(set(report.labels_pred)) == [0, 1]
 
 
 # ---------------------------------------------------------------------------

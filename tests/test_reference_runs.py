@@ -51,7 +51,7 @@ def _runs() -> dict:
             PipelineConfig(n_anchors=50, embed_dim=4, seed=11),
         ),
         "criterion-10-no-isc": (
-            lambda: _blobs(0.1), dataclasses.replace(blob_cfg, n_clusters=5, no_isc=True)
+            lambda: _blobs(0.1), dataclasses.replace(blob_cfg, n_clusters=5, beta=0.0)
         ),
         "criterion-10-no-igs": (
             lambda: _blobs(0.1), dataclasses.replace(blob_cfg, n_clusters=5, no_igs=True)

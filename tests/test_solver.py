@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor
 
 from mvtc.errors import (
+    DimensionMismatch,
     EmbedDimTooSmall,
     InvalidLowFrequencyParameter,
-    ShapeMismatch,
     SingularSystem,
     ValidationError,
 )
@@ -109,7 +109,7 @@ def test_zscore_rejects_single_row():
 
 
 def test_zscore_rejects_a_vector():
-    with pytest.raises(ShapeMismatch, match=r"need a K x N matrix, got shape \(4,\)"):
+    with pytest.raises(DimensionMismatch, match=r"need a K x N matrix, got shape \(4,\)"):
         zscore_normalize_columns(np.ones(4))
 
 
@@ -609,9 +609,9 @@ def test_run_validates_config():
         SolverConfig(embed_dim=3, no_igs="no")
     with pytest.raises(ValidationError):
         run(graphs, SolverConfig(embed_dim=6, low_freq=3))  # K > M
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(DimensionMismatch):
         run([], SolverConfig(embed_dim=3, low_freq=2))
-    with pytest.raises(ShapeMismatch, match=r"graph 1 has shape \(5, 11\), expected \(\*, 12\)"):
+    with pytest.raises(DimensionMismatch, match=r"graph 1 has shape \(5, 11\), expected \(\*, 12\)"):
         run([graphs[0], graphs[1][:, :11]], SolverConfig(embed_dim=3, low_freq=2))
 
 
