@@ -24,7 +24,7 @@ import numpy as np
 from scipy.sparse import csc_array
 
 from .anchors import _distances_from_product
-from .errors import TooManyClusters, check_int
+from .errors import check_int
 
 __all__ = ["ClusterModel", "kmeans_fit", "assign_labels"]
 
@@ -70,7 +70,7 @@ def kmeans_fit(points: np.ndarray, n_clusters: int, seed: int = 0) -> ClusterMod
     """
     x = np.asarray(points, dtype=float)
     n = x.shape[1]
-    check_int("n_clusters", n_clusters, 1, TooManyClusters, most=n)
+    check_int("n_clusters", n_clusters, 1, most=n)
     rng = np.random.default_rng(seed)
     centers = _weighted_seed(x, n_clusters, rng)
     rows = np.ascontiguousarray(x.T)  # one point per row, for the means

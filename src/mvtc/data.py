@@ -21,11 +21,12 @@ A dataset is described by a JSON manifest::
       ]
     }
 
-Paths are relative to the manifest's directory; ``labels_path`` and
-``n_clusters`` are optional.  Orientation ``"samples"`` means rows are
-samples (the matrix is transposed to features x samples on load).  A
-labels file holds one integer per line (``1.0`` reads as 1; ``1.7``,
-``nan`` or ``1e20`` is an error).  Every view value must be finite, which
+Paths are relative to the manifest's directory; ``labels_path`` (a
+non-empty string) and ``n_clusters`` are optional.  Orientation
+``"samples"`` means rows are samples (the matrix is transposed to
+features x samples on load).  A labels file holds one integer per line
+(``1.0`` reads as 1; ``1.7``, ``nan`` or ``1e20`` is an error).  Every
+view value must be finite, and a cluster count a positive integer, which
 :class:`MultiViewDataset` checks when a dataset is built.
 """
 
@@ -39,8 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (DimensionMismatch, MissingFile, ParseError, ValidationError, check_int,
-                     check_real)
+from .errors import DimensionMismatch, ParseError, ValidationError, check_int, check_real
 
 BIN_MAGIC = b"MVTCBIN1"
 _ORIENTATIONS = ("samples", "features")
@@ -48,7 +48,7 @@ _ORIENTATIONS = ("samples", "features")
 
 @dataclass
 class MultiViewDataset:
-    """Views plus optional ground truth; bad view shapes or values fail construction."""
+    """Views plus optional ground truth; bad view shapes or values, or a bad count, fail construction."""
 
     views: list[np.ndarray]          # feature-major, (D_v, N)
     labels: np.ndarray | None = None
@@ -57,6 +57,8 @@ class MultiViewDataset:
 
     def __post_init__(self):
         check_views(self.views)
+        if self.n_clusters is not None:
+            check_int("n_clusters", self.n_clusters, 1)
         for i, v in enumerate(self.views):
             bad = ~np.isfinite(v).all(axis=0)
             if bad.any():
@@ -115,8 +117,7 @@ def generate_synthetic(
     for d in dims:
         check_int("each dim", d, 1)
     check_real("noise", noise)
-    if not 1 <= n_clusters <= n_samples:
-        raise ValidationError(f"cannot split {n_samples} samples into {n_clusters} clusters")
+    check_int("n_clusters", n_clusters, most=n_samples)
     check_int("seed", seed, 0)
     latent_dim = max(2, n_clusters)
     # the largest array is N x max(dims, latent_dim) floats; numpy cannot index a larger one
@@ -164,8 +165,6 @@ def save_dataset(dataset: MultiViewDataset, out_dir, fmt: str = "csv") -> Path:
 def load_dataset(manifest_path) -> MultiViewDataset:
     """Load every view named by a manifest and cross-validate sample counts."""
     manifest_path = Path(manifest_path)
-    if not manifest_path.is_file():
-        raise MissingFile(f"manifest not found: {manifest_path}")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except ValueError as exc:  # bad JSON or bad UTF-8
@@ -181,8 +180,8 @@ def load_dataset(manifest_path) -> MultiViewDataset:
     if n_clusters is not None:
         check_int(f"manifest {manifest_path}: 'n_clusters'", n_clusters)
     labels_rel = manifest.get("labels_path")
-    if labels_rel is not None and not isinstance(labels_rel, str):
-        raise ValidationError(f"manifest {manifest_path}: 'labels_path' must be a string")
+    if labels_rel is not None and (not isinstance(labels_rel, str) or not labels_rel):
+        raise ValidationError(f"manifest {manifest_path}: 'labels_path' must be a non-empty string")
     base = manifest_path.parent
     views = [
         load_matrix(base / e["path"], e.get("format", "csv"), e.get("orientation", "samples"))
@@ -193,7 +192,7 @@ def load_dataset(manifest_path) -> MultiViewDataset:
         detail = ", ".join(f"'{e['path']}' has {c} samples" for e, c in zip(entries, counts))
         raise DimensionMismatch(f"views disagree on the sample count: {detail}")
     labels = None
-    if labels_rel:
+    if labels_rel is not None:
         labels = load_labels(base / labels_rel)
         if labels.size != counts[0]:
             raise DimensionMismatch(
@@ -212,8 +211,6 @@ def load_matrix(path, fmt: str = "csv", orientation: str = "samples") -> np.ndar
     path = Path(path)
     if orientation not in _ORIENTATIONS:
         raise ValidationError(f"orientation must be one of {_ORIENTATIONS}, got '{orientation}'")
-    if not path.is_file():
-        raise MissingFile(f"view file not found: {path}")
     if fmt == "csv":
         data = _read_csv_matrix(path)
     elif fmt == "bin":
@@ -245,8 +242,6 @@ def write_matrix(path, data: np.ndarray, fmt: str = "csv", orientation: str = "s
 def load_labels(path) -> np.ndarray:
     """Read one integer label per line (``1.0`` reads as 1) into an int64 vector."""
     path = Path(path)
-    if not path.is_file():
-        raise MissingFile(f"labels file not found: {path}")
     values = _loadtxt(path, path, encoding="utf-8")
     # Every integral float64 below 2**63 in magnitude fits in int64.
     integral = (np.abs(values) < 2.0**63) & (values == np.floor(values))

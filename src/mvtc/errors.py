@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, one class per kind of failure.
 
-Two families: validation errors (bad shapes, lengths, or configuration;
-CLI exit code 2) and numerical errors (a computation could not produce a
-trustworthy result; CLI exit code 3).
+Two families: validation errors (a bad setting, shape or file; CLI exit
+code 2) and numerical errors (a computation could not produce a
+trustworthy result; CLI exit code 3).  An out-of-range setting is a
+:class:`ValidationError` whichever stage catches it.  A file that cannot be
+opened raises Python's own ``OSError`` subclass, which names the path.
 """
 
 import math
@@ -23,36 +25,8 @@ class DimensionMismatch(ValidationError):
     """An array has the wrong number of axes, or arrays disagree on a shared axis."""
 
 
-class InvalidLowFrequencyParameter(ValidationError):
-    """Number of kept spectrum slices outside [1, floor(N/2)+1]."""
-
-
-class TooManyAnchors(ValidationError):
-    """More anchors requested than samples available."""
-
-
-class TooManyClusters(ValidationError):
-    """More clusters requested than samples available."""
-
-
-class EmbedDimTooSmall(ValidationError):
-    """Column normalization needs at least two rows."""
-
-
-class LengthMismatch(ValidationError):
-    """Two label sequences have different lengths."""
-
-
-class EmptyInput(ValidationError):
-    """An operation received fewer elements than it can work on."""
-
-
 class ParseError(ValidationError):
     """A data file could not be parsed."""
-
-
-class MissingFile(ValidationError):
-    """A referenced data file does not exist."""
 
 
 class NonRealResult(NumericalError):
@@ -67,13 +41,13 @@ class SingularSystem(NumericalError):
     """Ridge system not finite, or unsolvable within tolerance even via pseudo-inverse."""
 
 
-def check_int(name, value, least=None, error=ValidationError, *, most=None):
-    """Raise ``error`` unless ``value`` is an integer (not a bool) in [``least``, ``most``], where set."""
+def check_int(name, value, least=None, *, most=None):
+    """Raise ValidationError unless ``value`` is an integer (not a bool) in [``least``, ``most``], where set."""
     if type(value) is bool or not isinstance(value, numbers.Integral) or not (
             (least is None or value >= least) and (most is None or value <= most)):
         bounds = " and ".join(f"{word} {bound}" for word, bound in
                               (("at least", least), ("at most", most)) if bound is not None)
-        raise error(f"{name} must be an integer{' of ' + bounds if bounds else ''}, got {value!r}")
+        raise ValidationError(f"{name} must be an integer{' of ' + bounds if bounds else ''}, got {value!r}")
 
 
 def check_switch(name, value):

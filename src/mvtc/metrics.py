@@ -17,7 +17,7 @@ import numpy as np
 from scipy.sparse import csr_array
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-from .errors import EmptyInput, LengthMismatch
+from .errors import DimensionMismatch, ValidationError
 
 __all__ = [
     "ContingencyTable",
@@ -43,9 +43,9 @@ def contingency_table(pred, truth) -> ContingencyTable:
     pred = np.asarray(pred).ravel()
     truth = np.asarray(truth).ravel()
     if pred.size != truth.size:
-        raise LengthMismatch(f"{pred.size} predictions vs {truth.size} truths")
+        raise DimensionMismatch(f"{pred.size} predictions vs {truth.size} truths")
     if pred.size == 0:
-        raise EmptyInput("no samples")
+        raise ValidationError("no samples")
     pred_ids, pi = np.unique(pred, return_inverse=True)
     true_ids, ti = np.unique(truth, return_inverse=True)
     shape = (pred_ids.size, true_ids.size)
@@ -166,7 +166,7 @@ def _ari(t: ContingencyTable) -> float:
 def _pair_counts(t: ContingencyTable) -> tuple[int, int, int, int]:
     """Total pairs, and the pairs together in both partitions, in ``pred`` and in ``truth``."""
     if t.n < 2:
-        raise EmptyInput("pair counting needs at least 2 samples")
+        raise ValidationError("pair counting needs at least 2 samples")
     together = (int((c * (c - 1) // 2).sum()) for c in (t.counts, t.row_sums, t.col_sums))
     return (t.n * (t.n - 1) // 2, *together)
 

@@ -25,7 +25,7 @@ from . import __version__
 from .anchors import build_all_graphs, select_anchors
 from .clustering import kmeans_fit
 from .data import MultiViewDataset
-from .errors import TooManyAnchors, ValidationError, check_int
+from .errors import ValidationError, check_int
 from .metrics import clustering_scores
 from .solver import SolverConfig, SolverSettings, run as solver_run
 from .tensor_ops import check_low_freq
@@ -120,7 +120,7 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig, out_path=Non
         )
         # select_anchors, the solver and k-means check these too, but the
         # solver and k-means only after the graph build
-        check_int("n_anchors", n_anchors, 1, TooManyAnchors, most=n)
+        check_int("n_anchors", n_anchors, 1, most=n)
         check_int("embed_dim", embed_dim, most=n_anchors)
         if not config.no_igs:
             check_low_freq(n, config.low_freq)
@@ -147,7 +147,7 @@ def run_pipeline(dataset: MultiViewDataset, config: PipelineConfig, out_path=Non
                 "n_samples": n,
                 "n_views": dataset.n_views,
                 "view_dims": [int(v.shape[0]) for v in dataset.views],
-                "n_clusters": int(n_clusters),
+                "n_clusters": None if dataset.n_clusters is None else int(dataset.n_clusters),
                 "has_labels": dataset.labels is not None,
             },
             config={
@@ -201,8 +201,12 @@ def _timed(timings: dict, key: str):
 
 
 def sample_norm_order(views: list[np.ndarray]) -> np.ndarray:
-    """Sample indices sorted ascending by concatenated-feature L2 norm."""
-    norms = sum(np.einsum("dn,dn->n", v, v) for v in views)
+    """Sample indices sorted ascending by concatenated-feature L2 norm.
+
+    An integer view is summed in float64, where its squares cannot overflow.
+    """
+    norms = sum(np.einsum("dn,dn->n", v, v, dtype=float if v.dtype.kind in "iu" else None)
+                for v in views)
     return np.argsort(norms, kind="stable")
 
 

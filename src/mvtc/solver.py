@@ -41,8 +41,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import (DimensionMismatch, EmbedDimTooSmall, InvalidLowFrequencyParameter,
-                     SingularSystem, check_int, check_real, check_switch)
+from .errors import DimensionMismatch, SingularSystem, check_int, check_real, check_switch
 from .tensor_ops import check_low_freq, lowfreq_truncate
 
 # Acceptable relative residual of the ridge normal equations.
@@ -74,7 +73,7 @@ class SolverSettings:
     no_igs: bool = False        # skip step 3: the embedding tensor passes through
 
     def __post_init__(self):
-        check_int("low_freq", self.low_freq, 1, InvalidLowFrequencyParameter)
+        check_int("low_freq", self.low_freq, 1)
         for name in ("lam", "beta", "early_stop_tol"):
             check_real(name, getattr(self, name))
         for name in ("max_iters", "seed"):
@@ -89,7 +88,7 @@ class SolverConfig(SolverSettings):
     embed_dim: int
 
     def __post_init__(self):
-        check_int("embed_dim", self.embed_dim, 2, EmbedDimTooSmall)
+        check_int("embed_dim", self.embed_dim, 2)
         super().__post_init__()
 
 
@@ -122,7 +121,7 @@ def zscore_normalize_columns(mat: np.ndarray, *, out: np.ndarray | None = None) 
         raise DimensionMismatch(f"need a K x N matrix, got shape {mat.shape}")
     k, n = mat.shape
     if k < 2:
-        raise EmbedDimTooSmall(f"need at least 2 rows to normalize, got {k}")
+        raise DimensionMismatch(f"need at least 2 rows to normalize, got {k}")
     if out is None:
         out = np.empty((k, n))
     # zero-variance columns are patched below; a non-finite column turns to

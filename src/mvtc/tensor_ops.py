@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidLowFrequencyParameter, NonRealResult
+from .errors import DimensionMismatch, NonRealResult, check_int
 
 # Imaginary residue above this fraction of the largest magnitude means the
 # spectrum handed to the inverse transform was not conjugate-symmetric.
@@ -125,11 +125,8 @@ def t_svd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def check_low_freq(depth: int, keep: int) -> None:
-    """Raise :class:`InvalidLowFrequencyParameter` unless 1 <= keep <= depth//2 + 1."""
-    if not 1 <= keep <= depth // 2 + 1:
-        raise InvalidLowFrequencyParameter(
-            f"kept low-frequency slices {keep} outside 1..{depth // 2 + 1} for depth {depth}"
-        )
+    """Raise ValidationError unless ``keep`` is an integer in [1, depth//2 + 1]."""
+    check_int("low_freq", keep, 1, most=depth // 2 + 1)
 
 
 def lowfreq_truncate(b: np.ndarray, keep: int) -> np.ndarray:

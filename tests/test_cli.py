@@ -19,7 +19,7 @@ import mvtc
 from mvtc import pipeline
 from mvtc.cli import _build_parser, main
 from mvtc.data import generate_synthetic, load_dataset, save_dataset
-from mvtc.errors import InvalidLowFrequencyParameter, SingularSystem, ValidationError
+from mvtc.errors import SingularSystem, ValidationError
 from mvtc.pipeline import PRESETS, PipelineConfig, RunReport, run_pipeline
 from mvtc.solver import SolverConfig
 
@@ -273,7 +273,7 @@ def test_data_dependent_settings_are_checked_before_the_graph_build(monkeypatch)
     for config, message in (
         (PipelineConfig(n_clusters=41), "n_clusters must be an integer of at least 1 and at most 40"),
         (PipelineConfig(n_anchors=10, embed_dim=11), "embed_dim must be an integer of at most 10, got 11"),
-        (PipelineConfig(low_freq=22), "kept low-frequency slices 22 outside 1..21"),
+        (PipelineConfig(low_freq=22), "low_freq must be an integer of at least 1 and at most 21, got 22"),
     ):
         with pytest.raises(ValidationError, match=re.escape(message)):
             run_pipeline(dataset, config)
@@ -321,7 +321,7 @@ def test_bad_config_values_raise_validation_error(field, value):
         ("lam", "0.1", ValidationError),
         ("beta", float("nan"), ValidationError),
         ("early_stop_tol", -1.0, ValidationError),
-        ("low_freq", 0, InvalidLowFrequencyParameter),
+        ("low_freq", 0, ValidationError),
         ("max_iters", -1, ValidationError),
         ("seed", -1, ValidationError),
     ],
@@ -474,8 +474,8 @@ def test_validation_error_exit_code_and_record(capsys):
     )
     assert code == 2
     record = json.loads(stderr.strip().splitlines()[-1])
-    assert record["error"] == "TooManyAnchors"
-    assert record["message"]
+    assert record["error"] == "ValidationError"
+    assert record["message"].startswith("n_anchors ")
 
 
 def test_numerical_error_exit_code(tmp_path, capsys):
@@ -509,6 +509,75 @@ def test_non_finite_view_value_exits_2_with_one_json_line(tmp_path, capsys, toke
     record = json.loads(lines[0])
     assert record["error"] == "ValidationError"
     assert "view 1" in record["message"] and "sample 37" in record["message"]
+
+
+SWEEP_N = 40  # samples of the sweep's synthetic dataset, run with 10 anchors
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("--anchors", 0, "n_anchors"),
+    ("--anchors", SWEEP_N + 1, "n_anchors"),
+    ("--clusters", 0, "n_clusters"),
+    ("--clusters", SWEEP_N + 1, "n_clusters"),
+    ("--embed-dim", 1, "embed_dim"),
+    ("--embed-dim", 11, "embed_dim"),
+    ("--lowfreq", 0, "low_freq"),
+    ("--lowfreq", SWEEP_N // 2 + 2, "low_freq"),
+    ("--restarts", 0, "restarts"),
+])
+def test_out_of_range_setting_exits_2_as_a_validation_error(capsys, flag, value, name):
+    anchors = [] if flag == "--anchors" else ["--anchors", "10"]
+    code, stdout, stderr = run_cli(
+        capsys, "run", "--synthetic", f"n={SWEEP_N},c=2,v=1,dims=4", *anchors, flag, str(value)
+    )
+    assert code == 2 and stdout == ""
+    (line,) = stderr.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "ValidationError"
+    assert record["message"].startswith(f"{name} must be an integer")
+
+
+@pytest.mark.parametrize("target", ["manifest", "view", "labels"])
+@pytest.mark.parametrize("kind, error", [("missing", "FileNotFoundError"),
+                                         ("directory", "IsADirectoryError")])
+def test_unopenable_input_file_exits_2_naming_the_path(tmp_path, capsys, target, kind, error):
+    manifest = save_dataset(generate_synthetic(40, 2, 1, [4], noise=0.1, seed=0), tmp_path / "ds")
+    bad = tmp_path / "ds" / "bad"
+    if kind == "directory":
+        bad.mkdir()
+    if target == "manifest":
+        manifest = bad
+    else:
+        entries = json.loads(manifest.read_text())
+        if target == "view":
+            entries["views"][0]["path"] = "bad"
+        else:
+            entries["labels_path"] = "bad"
+        manifest.write_text(json.dumps(entries))
+    code, _, stderr = run_cli(capsys, "run", "--manifest", str(manifest), "--anchors", "10")
+    assert code == 2
+    (line,) = stderr.splitlines()
+    record = json.loads(line)
+    assert record["error"] == error  # an OSError subclass, not a ValidationError
+    assert str(bad) in record["message"]
+
+
+def test_report_dataset_block_gives_the_datasets_own_cluster_count():
+    dataset = generate_synthetic(60, 3, 2, [4, 5], noise=0.1, seed=0)
+    report = run_pipeline(dataset, PipelineConfig(n_clusters=4, n_anchors=20))
+    assert report.dataset["n_clusters"] == 3 and report.config["n_clusters"] == 4
+    unknown = type(dataset)(views=dataset.views, labels=dataset.labels)
+    report = run_pipeline(unknown, PipelineConfig(n_clusters=4, n_anchors=20))
+    assert report.dataset["n_clusters"] is None
+    assert json.loads(report.to_json())["dataset"]["n_clusters"] is None
+
+
+@pytest.mark.parametrize("dtype, big", [(np.int32, 50_000), (np.int64, 4_000_000_000)])
+def test_integer_view_norm_order_matches_float(dtype, big):
+    view = np.array([[big, 1, big * 4 // 5]])  # squares overflow in the integer dtype
+    order = pipeline.sample_norm_order([view.astype(dtype)])
+    np.testing.assert_array_equal(order, [1, 2, 0])
+    np.testing.assert_array_equal(order, pipeline.sample_norm_order([view.astype(float)]))
 
 
 def unwritable_out_argv(tmp_path, sub):

@@ -5,7 +5,7 @@ import pytest
 
 from mvtc import clustering
 from mvtc.clustering import assign_labels, kmeans_fit
-from mvtc.errors import TooManyClusters
+from mvtc.errors import ValidationError
 
 from oracles import exhaustive_kmeans_optimum, kmeans_fit_reference
 
@@ -114,9 +114,9 @@ def test_deterministic_under_seed():
 
 def test_cluster_count_validation():
     x = np.zeros((2, 4))
-    with pytest.raises(TooManyClusters):
+    with pytest.raises(ValidationError, match="^n_clusters .* got 5$"):
         kmeans_fit(x, 5, seed=0)
-    with pytest.raises(TooManyClusters):
+    with pytest.raises(ValidationError, match="^n_clusters .* got 0$"):
         kmeans_fit(x, 0, seed=0)
 
 

@@ -14,7 +14,7 @@ from mvtc.data import (
     save_dataset,
     write_matrix,
 )
-from mvtc.errors import DimensionMismatch, MissingFile, ParseError, ValidationError
+from mvtc.errors import DimensionMismatch, ParseError, ValidationError
 from mvtc.pipeline import PipelineConfig, run_pipeline
 
 
@@ -183,12 +183,12 @@ def test_bin_truncated_payload_rejected(tmp_path):
 
 
 def test_missing_view_file(tmp_path):
-    with pytest.raises(MissingFile):
+    with pytest.raises(FileNotFoundError, match="absent.csv"):
         load_matrix(tmp_path / "absent.csv")
 
 
 def test_missing_labels_file(tmp_path):
-    with pytest.raises(MissingFile, match="labels file not found"):
+    with pytest.raises(FileNotFoundError, match="absent.csv"):
         load_labels(tmp_path / "absent.csv")
 
 
@@ -296,6 +296,12 @@ def test_built_dataset_with_bad_view_shapes_is_rejected(views, error):
         MultiViewDataset(views=views)
 
 
+@pytest.mark.parametrize("n_clusters", [0, 2.5, True, "2"])
+def test_built_dataset_with_a_bad_cluster_count_is_rejected(n_clusters):
+    with pytest.raises(ValidationError, match="^n_clusters must be an integer"):
+        MultiViewDataset(views=[np.ones((2, 5))], n_clusters=n_clusters)
+
+
 @pytest.mark.parametrize(
     "manifest",
     [
@@ -306,10 +312,12 @@ def test_built_dataset_with_bad_view_shapes_is_rejected(views, error):
         {"n_clusters": "two", "views": [{"path": "v.csv"}]},
         {"n_clusters": 2.5, "views": [{"path": "v.csv"}]},
         {"labels_path": 3, "views": [{"path": "v.csv"}]},
+        {"labels_path": "", "views": [{"path": "v.csv"}]},  # not "no labels"
     ],
     ids=[
         "not-an-object", "view-without-path", "view-not-an-object", "views-not-a-list",
         "n-clusters-string", "n-clusters-float", "labels-path-not-a-string",
+        "labels-path-empty",
     ],
 )
 def test_malformed_manifest_is_a_validation_error(tmp_path, manifest):
@@ -320,7 +328,7 @@ def test_malformed_manifest_is_a_validation_error(tmp_path, manifest):
 
 
 def test_missing_manifest_and_bad_json(tmp_path):
-    with pytest.raises(MissingFile):
+    with pytest.raises(FileNotFoundError, match="nope.json"):
         load_dataset(tmp_path / "nope.json")
     bad = tmp_path / "manifest.json"
     bad.write_text("{not json")

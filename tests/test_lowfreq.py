@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvtc.errors import InvalidLowFrequencyParameter
+from mvtc.errors import ValidationError
 from mvtc.tensor_ops import (
     DFT_BLOCK,
     DFT_MAX_KEEP,
@@ -49,7 +49,7 @@ def test_matches_bruteforce_truncation_oracle():
 
 @pytest.mark.parametrize("keep", [0, -1, 6, 100])
 def test_invalid_band_rejected(keep):
-    with pytest.raises(InvalidLowFrequencyParameter):
+    with pytest.raises(ValidationError, match=f"^low_freq .* got {keep}$"):
         lowfreq_truncate(np.zeros((2, 2, 9)), keep)
 
 

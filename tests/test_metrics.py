@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import mvtc
 from mvtc import metrics
-from mvtc.errors import EmptyInput, LengthMismatch
+from mvtc.errors import DimensionMismatch, ValidationError
 from mvtc.metrics import (
     ContingencyTable,
     accuracy,
@@ -42,13 +42,13 @@ def test_contingency_counts():
 
 
 def test_length_and_empty_validation():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DimensionMismatch, match="2 predictions vs 3 truths"):
         accuracy([0, 1], [0, 1, 2])
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ValidationError, match="no samples"):
         accuracy([], [])
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ValidationError, match="pair counting needs at least 2 samples"):
         pairwise_prf([0], [0])
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ValidationError, match="pair counting needs at least 2 samples"):
         ari([1], [1])
 
 

@@ -9,8 +9,6 @@ from scipy.linalg import cho_factor
 
 from mvtc.errors import (
     DimensionMismatch,
-    EmbedDimTooSmall,
-    InvalidLowFrequencyParameter,
     SingularSystem,
     ValidationError,
 )
@@ -104,7 +102,7 @@ def test_zscore_template_satisfies_constraints_any_height(k):
 
 
 def test_zscore_rejects_single_row():
-    with pytest.raises(EmbedDimTooSmall):
+    with pytest.raises(DimensionMismatch, match="need at least 2 rows to normalize, got 1"):
         zscore_normalize_columns(np.ones((1, 4)))
 
 
@@ -593,13 +591,13 @@ def test_run_early_stop_halts_on_converged_problem():
 
 def test_run_validates_config():
     graphs = random_graphs(2, 5, 12, seed=29)
-    with pytest.raises(InvalidLowFrequencyParameter):
+    with pytest.raises(ValidationError, match="^low_freq .* got 8$"):
         run(graphs, SolverConfig(embed_dim=3, low_freq=8))
-    with pytest.raises(EmbedDimTooSmall):
+    with pytest.raises(ValidationError, match="^embed_dim .* got 1$"):
         run(graphs, SolverConfig(embed_dim=1, low_freq=3))
-    with pytest.raises(EmbedDimTooSmall):
+    with pytest.raises(ValidationError, match="^embed_dim .* got 2.5$"):
         SolverConfig(embed_dim=2.5)
-    with pytest.raises(InvalidLowFrequencyParameter):
+    with pytest.raises(ValidationError, match="^low_freq .* got 3.0$"):
         SolverConfig(embed_dim=3, low_freq=3.0)
     with pytest.raises(ValidationError):
         SolverConfig(embed_dim=3, max_iters=2.5)
