@@ -140,6 +140,14 @@ def build_anchor_graph(view: np.ndarray, anchors: np.ndarray, sigma: float) -> n
     return out
 
 
+def kernel_widths(kernel_width: float | list[float], n_views: int = 1) -> list[float]:
+    """A width setting as floats: one width for all ``n_views`` views, or one per view; each finite and positive."""
+    widths = [kernel_width] * n_views if np.ndim(kernel_width) == 0 else list(kernel_width)
+    for width in widths:
+        check_real("kernel_width", width, positive=True)
+    return [float(width) for width in widths]
+
+
 def select_anchors(
     views: list[np.ndarray],
     m: int,
@@ -154,12 +162,9 @@ def select_anchors(
     if kernel_width is None:
         sigmas = [estimate_kernel_width(v, a, seed=seed) for v, a in zip(views, anchor_cols)]
     else:
-        sigmas = [kernel_width] * len(views) if np.ndim(kernel_width) == 0 else list(kernel_width)
+        sigmas = kernel_widths(kernel_width, len(views))
         if len(sigmas) != len(views):
             raise ValidationError(f"got {len(sigmas)} kernel widths for {len(views)} views")
-        for s in sigmas:
-            check_real("kernel_width", s, positive=True)
-        sigmas = [float(s) for s in sigmas]
     return AnchorSet(indices=indices, anchors_per_view=anchor_cols, sigma_per_view=sigmas)
 
 

@@ -2,7 +2,8 @@
 
 Subcommands: ``run`` (full pipeline on a manifest or synthetic dataset),
 ``metrics`` (score two label files) and ``gen-synthetic`` (write a
-synthetic dataset to disk).  Exit codes: 0 on success, 2 on validation
+synthetic dataset to disk); ``run --synthetic`` and ``gen-synthetic`` read
+one ``--synthetic`` spec.  Exit codes: 0 on success, 2 on validation
 errors (a bad command line among them), 3 on numerical failures; errors
 print one machine-parsable JSON line to stderr.
 """
@@ -47,14 +48,12 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mvtc", description="Scalable multi-view clustering pipeline.")
     sub = parser.add_subparsers(dest="command", required=True)
+    spec_help = "inline synthetic spec, e.g. n=500,c=5,v=3,dims=20:30:25,noise=0.1,seed=7 (n and c required)"
 
     run_p = sub.add_parser("run", help="run the full clustering pipeline")
     src = run_p.add_mutually_exclusive_group(required=True)
     src.add_argument("--manifest", help="path to a dataset manifest JSON")
-    src.add_argument(
-        "--synthetic",
-        help="inline synthetic spec, e.g. n=500,c=5,v=3,dims=20:30:25,noise=0.1,seed=7",
-    )
+    src.add_argument("--synthetic", metavar="SPEC", help=spec_help)
     run_p.add_argument("--anchors", dest="n_anchors", type=int, default=None, help=f"anchor count M (default min({DEFAULT_ANCHORS}, N))")
     run_p.add_argument("--clusters", dest="n_clusters", type=int, default=None, help="cluster count C")
     run_p.add_argument("--embed-dim", type=int, default=None, help="embedding dimension K (default C)")
@@ -80,12 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     met_p.set_defaults(handler=_cmd_metrics)
 
     gen_p = sub.add_parser("gen-synthetic", help="write a synthetic multi-view dataset")
-    gen_p.add_argument("--samples", type=int, required=True)
-    gen_p.add_argument("--clusters", type=int, required=True)
-    gen_p.add_argument("--views", type=int, default=None)
-    gen_p.add_argument("--dims", type=_parse_dims, default=None, help="per-view feature dims, e.g. 20:30:25 or 20,30,25")
-    gen_p.add_argument("--noise", type=float, default=None)
-    gen_p.add_argument("--seed", type=int, default=None)
+    gen_p.add_argument("--synthetic", metavar="SPEC", required=True, help=spec_help)
     gen_p.add_argument("--format", choices=["csv", "bin"], default="csv")
     gen_p.add_argument("--out", required=True, help="output directory")
     gen_p.set_defaults(handler=_cmd_gen)
@@ -114,13 +108,7 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    dataset = generate_synthetic(args.samples, args.clusters, **_given(
-        n_views=args.views,
-        dims=args.dims,
-        noise=args.noise,
-        seed=args.seed,
-    ))
-    manifest = save_dataset(dataset, args.out, fmt=args.format)
+    manifest = save_dataset(_synthetic_from_spec(args.synthetic), args.out, fmt=args.format)
     print(str(manifest))
     return 0
 
@@ -134,31 +122,18 @@ def _print_json(text: str, out) -> int:
     return 0
 
 
-def _given(**values) -> dict:
-    """The keyword arguments that were set; the rest keep the callee's defaults."""
-    return {key: value for key, value in values.items() if value is not None}
-
-
-def _parse_dims(raw: str) -> list[int]:
-    """Per-view feature dims separated by ``:`` (or ``,``), e.g. ``20:30:25``."""
-    try:
-        return [int(tok) for tok in raw.replace(",", ":").split(":")]
-    except ValueError as exc:
-        raise ValidationError(f"bad dims value '{raw}': {exc}") from exc
-
-
 # --synthetic spec keys: the generate_synthetic argument each sets, and its parser
 _SPEC_KEYS = {
     "n": ("n_samples", int),
     "c": ("n_clusters", int),
     "v": ("n_views", int),
-    "dims": ("dims", _parse_dims),
+    "dims": ("dims", lambda raw: [int(tok) for tok in raw.split(":")]),
     "noise": ("noise", float),
     "seed": ("seed", int),
 }
 
 
-def _synthetic_from_spec(spec: str, seed: int | None):
+def _synthetic_from_spec(spec: str, seed: int | None = None):
     """Parse ``n=500,c=5,v=3,dims=20:30:25,noise=0.1,seed=7`` into a dataset; n and c are required."""
     given = {}
     for token in spec.split(","):

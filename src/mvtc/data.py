@@ -26,8 +26,9 @@ non-empty string) and ``n_clusters`` are optional.  Orientation
 ``"samples"`` means rows are samples (the matrix is transposed to
 features x samples on load).  A labels file holds one integer per line
 (``1.0`` reads as 1; ``1.7``, ``nan`` or ``1e20`` is an error).  Every
-view value must be finite, and a cluster count a positive integer, which
-:class:`MultiViewDataset` checks when a dataset is built.
+view value must be finite, the labels one integer per sample, and a
+cluster count a positive integer, which :class:`MultiViewDataset` checks
+when a dataset is built.
 """
 
 from __future__ import annotations
@@ -48,15 +49,21 @@ _ORIENTATIONS = ("samples", "features")
 
 @dataclass
 class MultiViewDataset:
-    """Views plus optional ground truth; bad view shapes or values, or a bad count, fail construction."""
+    """Views plus optional ground truth; bad views, labels or count fail construction."""
 
     views: list[np.ndarray]          # feature-major, (D_v, N)
-    labels: np.ndarray | None = None
+    labels: np.ndarray | None = None  # one integer per sample; a list of ints is accepted
     n_clusters: int | None = None
     name: str = "dataset"
 
     def __post_init__(self):
-        check_views(self.views)
+        n = check_views(self.views)
+        if self.labels is not None:
+            labels = np.asarray(self.labels)
+            if labels.dtype.kind not in "iu":
+                raise ValidationError(f"labels must be integers, got dtype {labels.dtype}")
+            if labels.shape != (n,):
+                raise DimensionMismatch(f"labels must be a vector of {n} entries, got shape {labels.shape}")
         if self.n_clusters is not None:
             check_int("n_clusters", self.n_clusters, 1)
         for i, v in enumerate(self.views):
@@ -112,7 +119,7 @@ def generate_synthetic(
     for arg, value in (("n_samples", n_samples), ("n_clusters", n_clusters), ("n_views", n_views)):
         check_int(arg, value, 1)
     dims = [16] * n_views if dims is None else dims
-    if len(dims) != n_views:
+    if not hasattr(dims, "__len__") or len(dims) != n_views:  # a bare int is no list
         raise ValidationError(f"need one dim for each of {n_views} views, got {dims}")
     for d in dims:
         check_int("each dim", d, 1)

@@ -22,7 +22,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .anchors import build_all_graphs, select_anchors
+from .anchors import build_all_graphs, kernel_widths, select_anchors
 from .clustering import kmeans_fit
 from .data import MultiViewDataset
 from .errors import ValidationError, check_int
@@ -56,20 +56,22 @@ class PipelineConfig(SolverSettings):
     threads: int | None = None   # numpy's BLAS pool; None keeps its count (scipy's runs on 1)
 
     def __post_init__(self):
-        """Check the shared solver settings, then the pipeline's integer fields.
+        """Check the shared solver settings, then the pipeline's own fields.
 
-        The ranges of ``n_clusters``, ``embed_dim``, ``n_anchors`` and the
-        top of ``low_freq`` depend on the data and are checked when the run
-        starts, as are the kernel widths, whose count must match the views.
+        The upper ends of ``n_clusters``, ``embed_dim``, ``n_anchors`` and
+        ``low_freq`` depend on the data and are checked when the run starts,
+        as is the kernel-width count, which must match the views.
         ``None`` keeps a fallback.
         ``threads`` reaches OpenBLAS as a C ``int``, so it is at most 2**31 - 1.
         """
         super().__post_init__()
-        for name, least, most in (("n_clusters", None, None), ("embed_dim", None, None),
-                                  ("n_anchors", None, None), ("threads", 1, 2**31 - 1)):
+        for name, least, most in (("n_clusters", 1, None), ("embed_dim", 2, None),
+                                  ("n_anchors", 1, None), ("threads", 1, 2**31 - 1)):
             if getattr(self, name) is not None:
                 check_int(name, getattr(self, name), least, most=most)
         check_int("restarts", self.restarts, 1)
+        if self.kernel_width is not None:
+            kernel_widths(self.kernel_width)
 
 
 @dataclass
@@ -222,7 +224,7 @@ def _thread_cap(threads: int | None):
         if pool is not None and count is not None:
             get, put = pool
             restore.append((put, get()))
-            put(count)
+            put(int(count))  # ctypes converts no numpy integer
     try:
         yield
     finally:

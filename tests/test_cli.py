@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import re
+import shlex
 import tempfile
 import weakref
 from dataclasses import fields
@@ -175,7 +176,7 @@ SMALL_RUN = ["run", "--synthetic", "n=300,c=3,v=2,dims=4:5", "--anchors", "30"]
         ["run", "--synthetic", "n=20", "--seed", "0"],  # spec missing c
         ["run", "--synthetic", "n=20,c=two", "--seed", "0"],
         ["run", "--synthetic", "n=20,c=2,v=1,dims=4", "--kernel-width", "abc"],
-        ["gen-synthetic", "--samples", "10", "--clusters", "2", "--dims", "x", "--out", "/tmp/x"],
+        ["gen-synthetic", "--synthetic", "n=10,c=2,dims=x", "--out", "/tmp/x"],
         SMALL_RUN + ["--kernel-width=inf"],
         SMALL_RUN + ["--kernel-width=nan"],
         SMALL_RUN + ["--beta", "-2"],
@@ -188,7 +189,7 @@ SMALL_RUN = ["run", "--synthetic", "n=300,c=3,v=2,dims=4:5", "--anchors", "30"]
         SMALL_RUN + ["--seed", "-1"],  # the spec's seed defaults to it
         ["run", "--synthetic", "n=300,c=3,v=2,dims=4:5,seed=1", "--anchors", "30", "--seed", "-1"],
         ["run", "--synthetic", "n=300,c=3,v=2,dims=4:5,seed=-1", "--anchors", "30"],
-        ["gen-synthetic", "--samples", "10", "--clusters", "2", "--seed", "-1", "--out", "/tmp/x"],
+        ["gen-synthetic", "--synthetic", "n=10,c=2,seed=-1", "--out", "/tmp/x"],
         SMALL_RUN + ["--no-isc", "--beta", "nan"],
         ["run", "--synthetic", "n=100,c=2,v=2,dims=-3:5"],
         ["run", "--synthetic", "n=100,c=2,v=2,dims=0:5"],
@@ -198,17 +199,18 @@ SMALL_RUN = ["run", "--synthetic", "n=300,c=3,v=2,dims=4:5", "--anchors", "30"]
         ["run", "--synthetic", "n=100,c=2,v=2,dims=4:5,foo=3"],  # unknown key
         ["run", "--synthetic", "n=100,c=2,v=2,dims=4:5,nosie=0.5"],  # misspelt key
         ["run", "--synthetic", "n=300,c=3,v=2,dims=4:5,n=200", "--anchors", "30"],  # repeated key
-        ["gen-synthetic", "--samples", "10", "--clusters", "2", "--views", "2", "--dims=-2:3",
-         "--out", "/tmp/x"],
-        ["gen-synthetic", "--samples", "10", "--clusters", "2", "--dims", "0,4,4", "--out", "/tmp/x"],
-        ["gen-synthetic", "--samples", "10", "--clusters", "2", "--noise", "nan", "--out", "/tmp/x"],
+        ["gen-synthetic", "--synthetic", "n=10,c=2,v=2,dims=-2:3", "--out", "/tmp/x"],
+        ["gen-synthetic", "--synthetic", "n=10,c=2,dims=0:4:4", "--out", "/tmp/x"],
+        ["gen-synthetic", "--synthetic", "n=10,c=2,noise=nan", "--out", "/tmp/x"],
         ["run", "--synthetic", "n=60,c=3,v2"],  # a token without '='
         SMALL_RUN + ["--kernel-width", ","],
         SMALL_RUN + ["--threads", str(10**30)],  # beyond a C int, refused before any BLAS call
         # too many samples for numpy to index, refused before any allocation
         ["run", "--synthetic", "n=4611686018427387904,c=2"],
-        ["gen-synthetic", "--samples", "4611686018427387904", "--clusters", "2", "--out", "/tmp/x"],
-        ["gen-synthetic", "--samples", str(2**31), "--clusters", str(2**31), "--out", "/tmp/x"],
+        ["gen-synthetic", "--synthetic", "n=4611686018427387904,c=2", "--out", "/tmp/x"],
+        ["gen-synthetic", "--synthetic", f"n={2**31},c={2**31}", "--out", "/tmp/x"],
+        # dims are written with ':'; a ',' ends the token
+        ["gen-synthetic", "--synthetic", "n=20,c=2,v=2,dims=4,5", "--out", "/tmp/x"],
     ],
 )
 def test_malformed_flag_values_exit_cleanly(argv, capsys):
@@ -250,10 +252,10 @@ def test_run_flags_name_each_config_field_once():
     SMALL_RUN + ["--preset", "nope"],
     ["nope"],  # no such subcommand
     [],  # no subcommand
-    ["gen-synthetic", "--samples", "10", "--out", "x"],  # no --clusters
-    ["gen-synthetic", "--samples", "10", "--clusters", "2"],  # no --out
+    ["gen-synthetic", "--out", "x"],  # no --synthetic
+    ["gen-synthetic", "--synthetic", "n=10,c=2"],  # no --out
     SMALL_RUN + ["--kernel-width", "x"],
-    ["gen-synthetic", "--samples", "10", "--clusters", "2", "--dims", "a:b", "--out", "x"],
+    ["gen-synthetic", "--synthetic", "n=10,c=2,dims=a:b", "--out", "x"],
 ])
 def test_usage_errors_exit_2_with_one_json_line(argv, capsys):
     code, stdout, err = run_cli(capsys, *argv)
@@ -346,10 +348,14 @@ def test_run_checks_settings_before_reading_data(capsys, monkeypatch, source, re
         raise AssertionError("data read before the settings were checked")
 
     monkeypatch.setattr(f"mvtc.cli.{reader}", read)
-    code, _, err = run_cli(capsys, "run", *source, "--lambda", "-1")
-    assert code == 2
-    (line,) = err.strip().splitlines()
-    assert "lam" in json.loads(line)["message"]
+    # none of these settings needs the data to be refused
+    for setting, name in ((["--lambda", "-1"], "lam"), (["--anchors", "0"], "n_anchors"),
+                          (["--clusters", "0"], "n_clusters"), (["--embed-dim", "1"], "embed_dim"),
+                          (["--kernel-width=-1"], "kernel_width")):
+        code, _, err = run_cli(capsys, "run", *source, *setting)
+        assert code == 2, setting
+        (line,) = err.strip().splitlines()
+        assert json.loads(line)["message"].startswith(name), setting
 
 
 def test_request_too_large_to_allocate_exits_2_with_one_json_line(capsys, monkeypatch):
@@ -591,8 +597,7 @@ def unwritable_out_argv(tmp_path, sub):
         labels = str(tmp_path / "labels.txt")
         return ["metrics", "--pred", labels, "--truth", labels, "--out", missing]
     (tmp_path / "taken").write_text("")  # a file where the output directory should go
-    return ["gen-synthetic", "--samples", "20", "--clusters", "2",
-            "--out", str(tmp_path / "taken")]
+    return ["gen-synthetic", "--synthetic", "n=20,c=2", "--out", str(tmp_path / "taken")]
 
 
 @pytest.mark.parametrize("sub", ["run", "metrics", "gen-synthetic"])
@@ -811,12 +816,7 @@ def test_gen_synthetic_then_run(tmp_path, capsys):
     code, stdout, _ = run_cli(
         capsys,
         "gen-synthetic",
-        "--samples", "60",
-        "--clusters", "3",
-        "--views", "2",
-        "--dims", "4:5",
-        "--noise", "0.05",
-        "--seed", "8",
+        "--synthetic", "n=60,c=3,v=2,dims=4:5,noise=0.05,seed=8",
         "--out", str(tmp_path / "gen"),
     )
     assert code == 0
@@ -831,7 +831,7 @@ def test_gen_synthetic_then_run(tmp_path, capsys):
 def test_synthetic_defaults_come_from_generate_synthetic(tmp_path, capsys):
     expected = generate_synthetic(60, 3, 3, [16, 16, 16], noise=0.1, seed=0)
     code, stdout, _ = run_cli(
-        capsys, "gen-synthetic", "--samples", "60", "--clusters", "3", "--out", str(tmp_path)
+        capsys, "gen-synthetic", "--synthetic", "n=60,c=3", "--out", str(tmp_path)
     )
     assert code == 0
     written = load_dataset(stdout.strip())
@@ -867,13 +867,23 @@ def test_run_without_seed_matches_seed_zero(tmp_path, capsys, source):
     assert reports[0] == reports[1]
 
 
-def test_gen_synthetic_takes_comma_separated_dims(tmp_path, capsys):
+@pytest.mark.parametrize("spec, kwargs, fmt", [
+    ("n=60,c=3,v=2,dims=4:5,noise=0.05,seed=8",
+     dict(n_samples=60, n_clusters=3, n_views=2, dims=[4, 5], noise=0.05, seed=8), "csv"),
+    ("n=40,c=2", dict(n_samples=40, n_clusters=2), "csv"),
+    ("n=30,c=3,v=1,dims=6,seed=4", dict(n_samples=30, n_clusters=3, n_views=1, dims=[6], seed=4), "bin"),
+], ids=["all-keys", "defaults", "bin"])
+def test_gen_synthetic_writes_what_save_dataset_writes(tmp_path, capsys, spec, kwargs, fmt):
     code, stdout, _ = run_cli(
-        capsys, "gen-synthetic", "--samples", "20", "--clusters", "2", "--views", "2",
-        "--dims", "4,5", "--out", str(tmp_path),
+        capsys, "gen-synthetic", "--synthetic", spec, "--format", fmt, "--out", str(tmp_path / "cli")
     )
     assert code == 0
-    assert [v.shape[0] for v in load_dataset(stdout.strip()).views] == [4, 5]
+    assert stdout.strip() == str(tmp_path / "cli" / "manifest.json")
+    save_dataset(generate_synthetic(**kwargs), tmp_path / "direct", fmt=fmt)
+    written = sorted(p.name for p in (tmp_path / "cli").iterdir())
+    assert written == sorted(p.name for p in (tmp_path / "direct").iterdir())
+    for name in written:
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "direct" / name).read_bytes(), name
 
 
 def test_readme_run_defaults_match_solver_config():
@@ -982,15 +992,30 @@ def test_run_that_raises_restores_both_pools(monkeypatch, pools):
     assert openblas_threads() == [1, 2]
 
 
+@pytest.mark.parametrize("count", [np.int64(1), np.int32(1)], ids=["int64", "int32"])
+def test_numpy_integer_threads_runs_and_restores_both_pools(monkeypatch, pools, count):
+    seen = threads_seen_by_the_solve(monkeypatch)
+    (_, set_numpy), (_, set_scipy) = pools
+    set_numpy(2)
+    set_scipy(2)
+    dataset = generate_synthetic(40, 2, n_views=1, dims=[4], noise=0.1, seed=0)
+    run_pipeline(dataset, PipelineConfig(n_anchors=10, threads=count))
+    assert seen == [[1, 1]]
+    assert openblas_threads() == [2, 2]
+
+
 def test_readme_commands_and_paths_exist(capsys):
     blocks = "\n".join(re.findall(r"```bash\n(.*?)```", README.read_text(encoding="utf-8"), re.S))
-    subcommands = set(re.findall(r"(?<![\w/.-])mvtc[ \t]+([\w-]+)", blocks))
+    blocks = blocks.replace("\\\n", " ")  # join continued lines
+    commands = [shlex.split(line, comments=True) for line in re.findall(r"(?<![\w/.-])mvtc[ \t]+(.*)", blocks)]
     paths = set(re.findall(r"(?<![\w/.-])(?:scripts|perfbench|tests)/[\w./-]*\w", blocks))
-    assert subcommands and paths
-    for sub in sorted(subcommands):
+    assert commands and paths
+    for argv in commands:  # each parses as README writes it; a usage error raises
+        _build_parser().parse_args(argv)
+    for sub in sorted({argv[0] for argv in commands}):  # README: --help prints usage, exits 0
         with pytest.raises(SystemExit) as stop:
             main([sub, "--help"])
-        assert stop.value.code == 0, f"README runs 'mvtc {sub}', which is no subcommand"
+        assert stop.value.code == 0, f"'mvtc {sub} --help' exited {stop.value.code}"
     capsys.readouterr()
     assert not [p for p in sorted(paths) if not (README.parent / p).exists()]
 

@@ -57,6 +57,10 @@ def test_labels_balanced_and_shuffled():
 def test_generation_validation():
     with pytest.raises(ValidationError):
         generate_synthetic(10, 3, 2, [4], noise=0.0, seed=0)  # dims/views mismatch
+    with pytest.raises(ValidationError, match="one dim for each of 1 views"):
+        generate_synthetic(10, 3, 1, 5)  # dims must be a list, even for one view
+    with pytest.raises(ValidationError, match="each dim"):
+        generate_synthetic(10, 3, 2, [[4], [4, 5]])  # a ragged list is no list of dims
     with pytest.raises(ValidationError):
         generate_synthetic(2, 3, 1, [4], noise=0.0, seed=0)  # more clusters than samples
     for dims in ([-3, 5], [0, 5]):
@@ -300,6 +304,30 @@ def test_built_dataset_with_bad_view_shapes_is_rejected(views, error):
 def test_built_dataset_with_a_bad_cluster_count_is_rejected(n_clusters):
     with pytest.raises(ValidationError, match="^n_clusters must be an integer"):
         MultiViewDataset(views=[np.ones((2, 5))], n_clusters=n_clusters)
+
+
+@pytest.mark.parametrize(
+    "labels, error, message",
+    [
+        (np.zeros(3, dtype=int), DimensionMismatch, r"5 entries, got shape \(3,\)"),
+        (np.zeros((5, 2), dtype=int), DimensionMismatch, r"5 entries, got shape \(5, 2\)"),
+        (np.zeros((1, 5), dtype=int), DimensionMismatch, r"5 entries, got shape \(1, 5\)"),
+        (np.array([0, 1, 0, 1, np.nan]), ValidationError, "integers, got dtype float64"),
+        (np.zeros(5, dtype=bool), ValidationError, "integers, got dtype bool"),
+        (["0", "1", "0", "1", "0"], ValidationError, "integers, got dtype <U1"),
+    ],
+    ids=["too-few", "matrix", "row", "nan", "bool", "strings"],
+)
+def test_built_dataset_with_bad_labels_is_rejected(labels, error, message):
+    with pytest.raises(error, match=f"^labels must be .*{message}"):
+        MultiViewDataset(views=[np.ones((2, 5))], labels=labels)
+
+
+def test_built_dataset_takes_a_list_of_integer_labels():
+    ds = generate_synthetic(40, 2, 2, [4, 5], noise=0.1, seed=0)
+    listed = MultiViewDataset(views=ds.views, labels=ds.labels.tolist())
+    config = PipelineConfig(n_clusters=2, n_anchors=10)
+    assert run_pipeline(listed, config).metrics == run_pipeline(ds, config).metrics
 
 
 @pytest.mark.parametrize(
